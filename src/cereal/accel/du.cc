@@ -120,8 +120,9 @@ planBlocks(const CerealStream &s)
         }
     };
 
+    std::vector<std::uint64_t> bitmap_words;
     for (std::uint32_t i = 0; i < s.objectCount; ++i) {
-        const auto bm = bitmaps.nextBits();
+        const SlotBitmap bm = bitmaps.nextBits(bitmap_words);
         // Packed bitmap footprint: payload bits + marker, padded.
         bitmap_bytes += (bm.size() + 1 + 7) / 8;
         // Header slots are never set in the bitmap, so a set bit always

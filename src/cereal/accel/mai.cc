@@ -26,19 +26,17 @@ Mai::blockAccess(Addr block, bool write, Tick issue)
 
     if (!write) {
         // Coalescing: join an in-flight read of the same block.
-        auto it = inflight_.find(block);
-        if (it != inflight_.end() && it->second > issue) {
+        if (const Tick *t = inflight_.find(block); t && *t > issue) {
             ++coalesced_;
             trace_.instant("mai_hit", issue);
-            return it->second;
+            return *t;
         }
         // Data-buffer hit: the block was fetched recently and still
         // sits in the MAI's 4 KB buffer.
-        auto lb = lineBuffer_.find(block);
-        if (lb != lineBuffer_.end()) {
+        if (const Tick *t = lineBuffer_.find(block)) {
             ++coalesced_;
             trace_.instant("mai_hit", issue);
-            return std::max(issue, lb->second);
+            return std::max(issue, *t);
         }
     }
 
@@ -55,28 +53,20 @@ Mai::blockAccess(Addr block, bool write, Tick issue)
     Tick done = dram_->access(block, write, issue).completeTick;
     outstanding_.push_back(done);
     if (!write) {
-        inflight_[block] = done;
+        inflight_.assign(block, done);
         // Fill the data buffer, evicting FIFO beyond its capacity.
-        if (lineBuffer_.emplace(block, done).second) {
+        if (lineBuffer_.assign(block, done)) {
             lineFifo_.push_back(block);
             if (lineFifo_.size() > entries_) {
                 lineBuffer_.erase(lineFifo_.front());
                 lineFifo_.pop_front();
             }
-        } else {
-            lineBuffer_[block] = done;
         }
         // Bound the coalescing map: stale entries are harmless (the
         // `> issue` check above rejects them) but unbounded growth is
         // not; prune opportunistically.
         if (inflight_.size() > entries_ * 4) {
-            for (auto jt = inflight_.begin(); jt != inflight_.end();) {
-                if (jt->second <= issue) {
-                    jt = inflight_.erase(jt);
-                } else {
-                    ++jt;
-                }
-            }
+            inflight_.eraseIf([issue](Tick t) { return t <= issue; });
         }
     }
     return done;

@@ -23,11 +23,10 @@
 #define CEREAL_CEREAL_ACCEL_MAI_HH
 
 #include <cstdint>
-#include <deque>
-#include <unordered_map>
 
 #include "cereal/accel/tlb.hh"
 #include "mem/dram.hh"
+#include "sim/flat.hh"
 #include "sim/types.hh"
 #include "trace/trace.hh"
 
@@ -96,9 +95,9 @@ class Mai
     Tlb *tlb_;
 
     /** Completion ticks of in-flight requests (FIFO). */
-    std::deque<Tick> outstanding_;
+    sim::RingQueue<Tick> outstanding_;
     /** Block address -> completion tick, for coalescing. */
-    std::unordered_map<Addr, Tick> inflight_;
+    sim::AddrMap<Tick> inflight_;
 
     /**
      * The MAI's 4 KB data buffer (Table I): the last `entries_` fetched
@@ -106,8 +105,8 @@ class Mai
      * is served without a DRAM access (the SU's visited check and the
      * subsequent object-handler load share lines this way).
      */
-    std::unordered_map<Addr, Tick> lineBuffer_;
-    std::deque<Addr> lineFifo_;
+    sim::AddrMap<Tick> lineBuffer_;
+    sim::RingQueue<Addr> lineFifo_;
 
     std::uint64_t coalesced_ = 0;
     std::uint64_t requests_ = 0;

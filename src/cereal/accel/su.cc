@@ -1,47 +1,18 @@
 #include "cereal/accel/su.hh"
 
 #include <algorithm>
-#include <deque>
-#include <list>
-#include <unordered_map>
+#include <bit>
+#include <vector>
 
 #include "heap/object.hh"
 #include "metrics/metrics.hh"
 #include "sim/event_queue.hh"
+#include "sim/flat.hh"
 #include "sim/logging.hh"
 
 namespace cereal {
 
 namespace {
-
-/** Small LRU cache of klass descriptors inside the OMM. */
-class MetadataCache
-{
-  public:
-    explicit MetadataCache(unsigned entries) : entries_(entries) {}
-
-    bool
-    touch(KlassId id)
-    {
-        auto it = map_.find(id);
-        if (it != map_.end()) {
-            lru_.splice(lru_.begin(), lru_, it->second);
-            return true;
-        }
-        if (map_.size() >= entries_) {
-            map_.erase(lru_.back());
-            lru_.pop_back();
-        }
-        lru_.push_front(id);
-        map_[id] = lru_.begin();
-        return false;
-    }
-
-  private:
-    unsigned entries_;
-    std::list<KlassId> lru_;
-    std::unordered_map<KlassId, std::list<KlassId>::iterator> map_;
-};
 
 /** Write-combining buffer for a sequential output stream. */
 class StreamWriter
@@ -91,12 +62,8 @@ class StreamWriter
 Addr
 packedRefBuckets(std::uint64_t token)
 {
-    unsigned bits = 1; // marker
-    while (token) {
-        ++bits;
-        token >>= 1;
-    }
-    return (bits + 7) / 8;
+    // Marker plus significant bits, rounded up to whole buckets.
+    return std::bit_width(token) / 8 + 1;
 }
 
 /**
@@ -122,6 +89,9 @@ class SuSim
           bitmapEnds_(mai, stream_base + 0x2800'0000ULL),
           headerSlots_(heap.registry().headerSlots())
     {
+        // Every object the walk can reach is one of the heap's, so the
+        // visited table never rehashes mid-walk.
+        visited_.reserve(heap.objectCount());
         // One group per op; the recorder uniquifies repeated prefixes
         // ("cereal.accel.su", "cereal.accel.su#1", ...) the way
         // per-unit trace tracks do.
@@ -255,9 +225,9 @@ class SuSim
         Tick hm_t = now + cyc(cfg_.hmPerRef);
 
         // Relative address to the reference array writer.
-        auto vit = visited_.find(ref.target);
-        const bool first = (vit == visited_.end());
-        std::uint64_t rel = first ? assignedBytes_ : vit->second;
+        const std::uint64_t *seen = visited_.find(ref.target);
+        const bool first = seen == nullptr;
+        std::uint64_t rel = first ? assignedBytes_ : *seen;
         rawFree_ = std::max(rawFree_, hm_t) + cyc(cfg_.rawPerRef);
         produceRef(packedRefBuckets(rel / 8 + 1), rawFree_);
 
@@ -283,7 +253,7 @@ class SuSim
         const unsigned slots = heap_->objectSlots(ref.target);
         Tick size_known = meta_done + cyc(cfg_.ommPerObject);
 
-        visited_.emplace(ref.target, assignedBytes_);
+        visited_.assign(ref.target, assignedBytes_);
         assignedBytes_ += Addr{slots} * 8;
         ++out_.objects;
 
@@ -325,8 +295,8 @@ class SuSim
     {
         const Tick now = evq_.now();
         lastEvent_ = std::max(lastEvent_, now);
-        const unsigned slots = heap_->objectSlots(obj);
-        const auto bitmap = heap_->instanceBitmap(obj);
+        const SlotBitmap bitmap = heap_->instanceBitmap(obj);
+        const auto slots = static_cast<unsigned>(bitmap.size());
         unsigned ref_slots = 0;
         for (unsigned s = headerSlots_; s < slots; ++s) {
             if (!bitmap[s]) {
@@ -362,7 +332,8 @@ class SuSim
     Tick start_;
 
     EventQueue evq_;
-    MetadataCache mdcache_;
+    /** The OMM's small LRU cache of klass descriptors. */
+    sim::LruSet<KlassId> mdcache_;
     StreamWriter values_;
     StreamWriter refs_;
     /** End-map stream for packed references (1 bit per bucket). */
@@ -374,8 +345,9 @@ class SuSim
     std::uint64_t bitmapBucketsSinceEnd_ = 0;
     unsigned headerSlots_;
 
-    std::deque<PendingRef> pending_;
-    std::unordered_map<Addr, std::uint64_t> visited_;
+    sim::RingQueue<PendingRef> pending_;
+    /** Object -> relative address, for objects already discovered. */
+    sim::AddrMap<std::uint64_t> visited_;
     std::uint64_t assignedBytes_ = 0;
 
     Tick hmFree_ = 0;

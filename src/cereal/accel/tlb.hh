@@ -12,9 +12,8 @@
 #define CEREAL_CEREAL_ACCEL_TLB_HH
 
 #include <cstdint>
-#include <list>
-#include <unordered_map>
 
+#include "sim/flat.hh"
 #include "sim/types.hh"
 
 namespace cereal {
@@ -24,8 +23,8 @@ class Tlb
 {
   public:
     Tlb(unsigned entries, Addr page_bytes, Cycles miss_penalty)
-        : entries_(entries), pageBytes_(page_bytes),
-          missPenalty_(miss_penalty)
+        : pageBytes_(page_bytes), missPenalty_(miss_penalty),
+          lru_(entries)
     {
     }
 
@@ -37,20 +36,11 @@ class Tlb
     Cycles
     lookup(Addr addr)
     {
-        const Addr vpn = addr / pageBytes_;
-        auto it = map_.find(vpn);
-        if (it != map_.end()) {
+        if (lru_.touch(addr / pageBytes_)) {
             ++hits_;
-            lru_.splice(lru_.begin(), lru_, it->second);
             return 0;
         }
         ++misses_;
-        if (map_.size() >= entries_) {
-            map_.erase(lru_.back());
-            lru_.pop_back();
-        }
-        lru_.push_front(vpn);
-        map_[vpn] = lru_.begin();
         return missPenalty_;
     }
 
@@ -60,18 +50,16 @@ class Tlb
     void
     reset()
     {
-        map_.clear();
         lru_.clear();
         hits_ = 0;
         misses_ = 0;
     }
 
   private:
-    unsigned entries_;
     Addr pageBytes_;
     Cycles missPenalty_;
-    std::list<Addr> lru_;
-    std::unordered_map<Addr, std::list<Addr>::iterator> map_;
+    /** Cached virtual page numbers. */
+    sim::LruSet<Addr> lru_;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
 };

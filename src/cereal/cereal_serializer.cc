@@ -1,11 +1,10 @@
 #include "cereal/cereal_serializer.hh"
 
 #include <atomic>
-#include <deque>
-#include <unordered_set>
 
 #include "heap/object.hh"
 #include "serde/decode_error.hh"
+#include "sim/flat.hh"
 #include "sim/logging.hh"
 
 namespace cereal {
@@ -24,13 +23,15 @@ CerealSerializer::nextUnitId()
 void
 CerealSerializer::registerClass(KlassId id)
 {
-    if (toClassId_.count(id)) {
+    if (id < toClassId_.size() && toClassId_[id] != kNoClassId) {
         return;
     }
     fatal_if(fromClassId_.size() >= kMaxClasses,
              "Klass Pointer Table full (%zu classes)", kMaxClasses);
-    auto class_id = static_cast<std::uint32_t>(fromClassId_.size());
-    toClassId_.emplace(id, class_id);
+    if (id >= toClassId_.size()) {
+        toClassId_.resize(std::size_t{id} + 1, kNoClassId);
+    }
+    toClassId_[id] = static_cast<std::uint32_t>(fromClassId_.size());
     fromClassId_.push_back(id);
 }
 
@@ -53,11 +54,10 @@ CerealSerializer::klassOfClassId(std::uint32_t class_id) const
 std::uint32_t
 CerealSerializer::classIdOf(KlassId id) const
 {
-    auto it = toClassId_.find(id);
-    fatal_if(it == toClassId_.end(),
+    fatal_if(id >= toClassId_.size() || toClassId_[id] == kNoClassId,
              "class %u not registered with Cereal; call RegisterClass",
              id);
-    return it->second;
+    return toClassId_[id];
 }
 
 CerealStream
@@ -81,7 +81,7 @@ CerealSerializer::serializeToStream(Heap &src, Addr root)
     ObjectPacker ref_packer;
     ObjectPacker bitmap_packer;
 
-    std::deque<Addr> queue;
+    sim::RingQueue<Addr> queue;
     std::uint64_t assigned_bytes = 0;
 
     // Header-manager visit: returns the object's relative address,
@@ -107,7 +107,7 @@ CerealSerializer::serializeToStream(Heap &src, Addr root)
         queue.pop_front();
         ObjectView v(src, obj);
 
-        const auto bitmap = src.instanceBitmap(obj);
+        const SlotBitmap bitmap = src.instanceBitmap(obj);
         bitmap_packer.packBits(bitmap);
         out.bitmapBits += bitmap.size();
         ++out.objectCount;
@@ -144,10 +144,8 @@ CerealSerializer::serializeToStream(Heap &src, Addr root)
         }
     }
 
-    out.refBuckets = ref_packer.buckets();
-    out.refEndMap = ref_packer.endMap();
-    out.bitmapBuckets = bitmap_packer.buckets();
-    out.bitmapEndMap = bitmap_packer.endMap();
+    ref_packer.moveTo(out.refBuckets, out.refEndMap);
+    bitmap_packer.moveTo(out.bitmapBuckets, out.bitmapEndMap);
     fatal_if(assigned_bytes > 0xffffffffULL,
              "object graph exceeds the 4 B total-size field");
     out.totalGraphBytes = static_cast<std::uint32_t>(assigned_bytes);
@@ -201,12 +199,14 @@ CerealSerializer::deserializeStream(const CerealStream &s, Heap &dst)
         Addr at; // graph-relative offset of the slot, for diagnostics
     };
     std::vector<RefPatch> patches;
-    std::unordered_set<Addr> starts;
+    // Bit k set iff an object starts at graph offset 8k.
+    std::vector<std::uint64_t> starts((s.totalGraphBytes / 8 + 63) / 64);
     std::uint64_t refs_used = 0;
+    std::vector<std::uint64_t> bitmap_words;
 
     Addr off = 0;
     for (std::uint32_t i = 0; i < s.objectCount; ++i) {
-        const auto bitmap = bitmaps.nextBits();
+        const SlotBitmap bitmap = bitmaps.nextBits(bitmap_words);
         decode_check(bitmap.size() >= header_slots,
                      DecodeStatus::Malformed, off,
                      "object bitmap smaller than the %u header slots",
@@ -314,7 +314,7 @@ CerealSerializer::deserializeStream(const CerealStream &s, Heap &dst)
             dst.store64(slot_addr, word);
         }
         dst.noteObject(obj);
-        starts.insert(off);
+        starts[off / 512] |= std::uint64_t{1} << (off / 8 % 64);
         off += Addr{bitmap.size()} * 8;
     }
     decode_check(off == s.totalGraphBytes, DecodeStatus::Malformed, off,
@@ -340,8 +340,8 @@ CerealSerializer::deserializeStream(const CerealStream &s, Heap &dst)
                      "reference token %llu outside graph",
                      (unsigned long long)p.token);
         Addr rel = decodeRelRef(p.token);
-        decode_check(starts.count(rel) != 0, DecodeStatus::BadHandle,
-                     p.at,
+        decode_check((starts[rel / 512] >> (rel / 8 % 64)) & 1,
+                     DecodeStatus::BadHandle, p.at,
                      "reference target +%llu is not an object start",
                      (unsigned long long)rel);
         dst.store64(p.slotAddr, base + rel);

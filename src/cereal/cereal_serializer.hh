@@ -23,7 +23,6 @@
 #ifndef CEREAL_CEREAL_CEREAL_SERIALIZER_HH
 #define CEREAL_CEREAL_CEREAL_SERIALIZER_HH
 
-#include <unordered_map>
 #include <vector>
 
 #include "cereal/format.hh"
@@ -89,8 +88,12 @@ class CerealSerializer : public Serializer
     std::uint8_t unitId() const { return unitId_; }
 
   private:
+    /** toClassId_ entry of a class that is not registered. */
+    static constexpr std::uint32_t kNoClassId = ~std::uint32_t{0};
+
     CerealOptions opts_;
-    std::unordered_map<KlassId, std::uint32_t> toClassId_;
+    /** Klass Pointer Table, indexed by KlassId. */
+    std::vector<std::uint32_t> toClassId_;
     std::vector<KlassId> fromClassId_;
     /** Per-serializer serialization counter (16-bit in hardware). */
     std::uint16_t serialCounter_ = 0;

@@ -1,5 +1,7 @@
 #include "cereal/format.hh"
 
+#include <array>
+#include <bit>
 #include <cstring>
 
 #include "serde/decode_error.hh"
@@ -7,61 +9,71 @@
 
 namespace cereal {
 
-void
-ObjectPacker::pushBucketRun(const std::vector<bool> &with_marker)
-{
-    const std::size_t bits = with_marker.size();
-    const std::size_t bytes = (bits + 7) / 8;
-    const std::size_t pad = bytes * 8 - bits;
+namespace {
 
-    for (std::size_t b = 0; b < bytes; ++b) {
-        std::uint8_t bucket = 0;
-        for (unsigned bit = 0; bit < 8; ++bit) {
-            const std::size_t global = b * 8 + bit;
-            bool v = false;
-            if (global >= pad) {
-                v = with_marker[global - pad];
-            }
-            bucket = static_cast<std::uint8_t>((bucket << 1) | (v ? 1 : 0));
+/** Byte bit-reversal: converts between MSB-first bucket order and the
+ *  LSB-first order of SlotBitmap words. */
+constexpr std::array<std::uint8_t, 256> kReversed = [] {
+    std::array<std::uint8_t, 256> t{};
+    for (unsigned b = 0; b < 256; ++b) {
+        unsigned r = 0;
+        for (unsigned i = 0; i < 8; ++i) {
+            r |= ((b >> i) & 1u) << (7 - i);
         }
-        const std::size_t bucket_idx = buckets_.size();
-        buckets_.push_back(bucket);
-        if (bucket_idx / 8 >= endMap_.size()) {
-            endMap_.push_back(0);
-        }
-        if (b + 1 == bytes) {
-            endMap_[bucket_idx / 8] |=
-                static_cast<std::uint8_t>(1u << (bucket_idx % 8));
-        }
+        t[b] = static_cast<std::uint8_t>(r);
     }
+    return t;
+}();
+
+} // namespace
+
+void
+ObjectPacker::endEntry()
+{
+    const std::size_t last = buckets_.size() - 1;
+    endMap_.resize((buckets_.size() + 7) / 8);
+    endMap_[last / 8] |= static_cast<std::uint8_t>(1u << (last % 8));
     ++entries_;
 }
 
 void
-ObjectPacker::packBits(const std::vector<bool> &bits)
+ObjectPacker::packBits(const SlotBitmap &bits)
 {
-    std::vector<bool> with_marker;
-    with_marker.reserve(bits.size() + 1);
-    with_marker.push_back(true); // marker delimits padding from payload
-    with_marker.insert(with_marker.end(), bits.begin(), bits.end());
-    pushBucketRun(with_marker);
+    // n = 8q + r bits plus the marker take q + 1 buckets. The first
+    // holds 7 - r padding zeros, the marker and bits [0, r); each later
+    // bucket holds the next eight bits, MSB first.
+    const std::size_t n = bits.size();
+    const auto head = static_cast<unsigned>(n % 8);
+    std::uint8_t first = static_cast<std::uint8_t>(1u << head);
+    if (head > 0) {
+        first |= static_cast<std::uint8_t>(
+            kReversed[bits.chunk(0, head)] >> (8 - head));
+    }
+    buckets_.push_back(first);
+    for (std::size_t i = head; i < n; i += 8) {
+        buckets_.push_back(kReversed[bits.chunk(i, 8)]);
+    }
+    endEntry();
 }
 
 void
 ObjectPacker::packValue(std::uint64_t v)
 {
-    // Significant bits, MSB first; zero contributes no payload bits.
-    std::vector<bool> bits;
-    if (v != 0) {
-        int top = 63;
-        while (!((v >> top) & 1)) {
-            --top;
-        }
-        for (int i = top; i >= 0; --i) {
-            bits.push_back((v >> i) & 1);
-        }
+    // Significant bits behind a marker '1', MSB first; zero contributes
+    // no payload bits. A w-bit value takes w / 8 + 1 buckets (at most
+    // 9: a 64-bit value's marker sits alone in its first bucket).
+    const auto width = static_cast<unsigned>(std::bit_width(v));
+    unsigned n = width / 8 + 1;
+    if (n == 9) {
+        buckets_.push_back(1);
+        n = 8;
+    } else {
+        v |= std::uint64_t{1} << width;
     }
-    packBits(bits);
+    for (unsigned i = n; i-- > 0;) {
+        buckets_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
+    endEntry();
 }
 
 bool
@@ -72,51 +84,70 @@ ObjectUnpacker::endsEntry(std::size_t bucket) const
     return ((*endMap_)[bucket / 8] >> (bucket % 8)) & 1;
 }
 
-std::vector<bool>
-ObjectUnpacker::nextBits()
+std::size_t
+ObjectUnpacker::nextRun()
 {
     decode_check(!done(), DecodeStatus::Truncated, pos_,
                  "unpacker exhausted");
-    // Gather this entry's bucket run.
-    std::size_t first = pos_;
+    const std::size_t first = pos_;
     while (!endsEntry(pos_)) {
         ++pos_;
         decode_check(pos_ < buckets_->size(), DecodeStatus::Truncated,
                      pos_, "unterminated packed entry");
     }
-    std::size_t last = pos_;
     ++pos_;
+    return first;
+}
 
-    std::vector<bool> bits;
-    bits.reserve((last - first + 1) * 8);
-    for (std::size_t b = first; b <= last; ++b) {
-        std::uint8_t bucket = (*buckets_)[b];
-        for (int i = 7; i >= 0; --i) {
-            bits.push_back((bucket >> i) & 1);
-        }
+std::size_t
+ObjectUnpacker::markerBit(std::size_t first) const
+{
+    std::size_t b = first;
+    while (b < pos_ && (*buckets_)[b] == 0) {
+        ++b;
     }
-    // Strip padding zeros and the marker bit.
-    std::size_t marker = 0;
-    while (marker < bits.size() && !bits[marker]) {
-        ++marker;
-    }
-    decode_check(marker < bits.size(), DecodeStatus::Malformed, first,
+    decode_check(b < pos_, DecodeStatus::Malformed, first,
                  "packed entry missing marker bit");
-    return std::vector<bool>(bits.begin() +
-                                 static_cast<std::ptrdiff_t>(marker) + 1,
-                             bits.end());
+    return 8 * (b - first) +
+           static_cast<std::size_t>(std::countl_zero((*buckets_)[b]));
+}
+
+SlotBitmap
+ObjectUnpacker::nextBits(std::vector<std::uint64_t> &words)
+{
+    const std::size_t first = nextRun();
+    // Payload: run bits after the marker, copied a bucket at a time.
+    const std::size_t skip = markerBit(first) + 1;
+    const std::size_t n = 8 * (pos_ - first) - skip;
+    words.assign(n / 64 + 2, 0); // spare word absorbs the last spill
+    std::size_t out = 0;
+    for (std::size_t b = first + skip / 8; b < pos_; ++b) {
+        const unsigned drop = b == first + skip / 8 ? skip % 8 : 0;
+        const std::uint64_t v = kReversed[(*buckets_)[b]] >> drop;
+        const unsigned sh = out % 64;
+        words[out / 64] |= v << sh;
+        if (sh + (8 - drop) > 64) {
+            words[out / 64 + 1] |= v >> (64 - sh);
+        }
+        out += 8 - drop;
+    }
+    return SlotBitmap(words.data(), n);
 }
 
 std::uint64_t
 ObjectUnpacker::nextValue()
 {
-    std::size_t at = pos_;
-    auto bits = nextBits();
-    decode_check(bits.size() <= 64, DecodeStatus::Malformed, at,
+    const std::size_t at = pos_;
+    const std::size_t first = nextRun();
+    const std::size_t marker = markerBit(first);
+    decode_check(8 * (pos_ - first) - marker - 1 <= 64,
+                 DecodeStatus::Malformed, at,
                  "packed value wider than 64 bits");
-    std::uint64_t v = 0;
-    for (bool b : bits) {
-        v = (v << 1) | (b ? 1 : 0);
+    // The marker bucket's bits below the marker, then whole buckets.
+    const std::size_t mb = first + marker / 8;
+    std::uint64_t v = (*buckets_)[mb] & ((1u << (7 - marker % 8)) - 1);
+    for (std::size_t b = mb + 1; b < pos_; ++b) {
+        v = (v << 8) | (*buckets_)[b];
     }
     return v;
 }

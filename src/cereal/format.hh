@@ -36,6 +36,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "heap/klass.hh"
 #include "sim/types.hh"
 
 namespace cereal {
@@ -45,13 +46,15 @@ namespace cereal {
  *
  * Bits are emitted MSB-first inside each value's bucket run; each run
  * is preceded by a marker '1' and left-padded with zeros to a whole
- * number of bytes.
+ * number of bytes. Buckets are written whole: a value's run is its
+ * significant bits with the marker OR-ed in above them, and a bitmap's
+ * run is read from the bitmap eight bits at a time.
  */
 class ObjectPacker
 {
   public:
     /** Append an arbitrary bit string (used for layout bitmaps). */
-    void packBits(const std::vector<bool> &bits);
+    void packBits(const SlotBitmap &bits);
 
     /** Append an unsigned value's significant bits (references). */
     void packValue(std::uint64_t v);
@@ -71,8 +74,21 @@ class ObjectPacker
         return buckets_.size() + endMap_.size();
     }
 
+    /** Move the buckets and end map out; the packer is left empty. */
+    void
+    moveTo(std::vector<std::uint8_t> &buckets,
+           std::vector<std::uint8_t> &end_map)
+    {
+        buckets = std::move(buckets_);
+        end_map = std::move(endMap_);
+        buckets_.clear();
+        endMap_.clear();
+        entries_ = 0;
+    }
+
   private:
-    void pushBucketRun(const std::vector<bool> &with_marker);
+    /** Mark the last bucket as the end of an entry. */
+    void endEntry();
 
     std::vector<std::uint8_t> buckets_;
     std::vector<std::uint8_t> endMap_;
@@ -92,14 +108,27 @@ class ObjectUnpacker
     /** True when no more entries remain. */
     bool done() const { return pos_ >= buckets_->size(); }
 
-    /** Next entry as a raw bit string (marker and padding removed). */
-    std::vector<bool> nextBits();
+    /**
+     * Next entry as a bit string (marker and padding removed), decoded
+     * into the caller's @p words. The view borrows @p words, so it is
+     * valid until @p words next changes; reusing one buffer across
+     * calls keeps decoding allocation-free.
+     */
+    SlotBitmap nextBits(std::vector<std::uint64_t> &words);
 
     /** Next entry interpreted as an unsigned value. */
     std::uint64_t nextValue();
 
   private:
     bool endsEntry(std::size_t bucket) const;
+
+    /** Consume the next entry's bucket run; @return its first bucket
+     *  (the run ends at pos_). */
+    std::size_t nextRun();
+
+    /** Marker bit of run [first, pos_), MSB-first from its first
+     *  bucket. */
+    std::size_t markerBit(std::size_t first) const;
 
     const std::vector<std::uint8_t> *buckets_;
     const std::vector<std::uint8_t> *endMap_;

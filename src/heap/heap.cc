@@ -158,7 +158,7 @@ Heap::arrayLength(Addr obj) const
     return load64(obj + Addr{registry_->arrayLengthSlot()} * 8);
 }
 
-std::vector<bool>
+SlotBitmap
 Heap::instanceBitmap(Addr obj) const
 {
     KlassId id = klassOf(obj);
@@ -166,15 +166,12 @@ Heap::instanceBitmap(Addr obj) const
     if (!d.isArray()) {
         return registry_->layoutBitmap(id);
     }
-    const unsigned slots = objectSlots(obj);
-    std::vector<bool> bm(slots, false);
-    if (d.elemType() == FieldType::Reference) {
-        const std::uint64_t n = arrayLength(obj);
-        for (std::uint64_t i = 0; i < n; ++i) {
-            bm[registry_->arrayDataSlot() + i] = true;
-        }
-    }
-    return bm;
+    const std::uint64_t n =
+        load64(obj + Addr{registry_->arrayLengthSlot()} * 8);
+    const unsigned data = registry_->arrayDataSlot();
+    return SlotBitmap::run(
+        registry_->arraySlots(id, n), data,
+        d.elemType() == FieldType::Reference ? data + n : data);
 }
 
 void

@@ -164,9 +164,12 @@ class Heap
 
     /**
      * Per-instance layout bitmap (bit per 8 B slot, set = reference),
-     * valid for both instances and arrays (paper Figure 4a).
+     * valid for both instances and arrays (paper Figure 4a). Borrowed:
+     * an instance's view reads the registry's class layout; an array's
+     * is the header plus its run of reference elements. Its size() is
+     * objectSlots(obj).
      */
-    std::vector<bool> instanceBitmap(Addr obj) const;
+    SlotBitmap instanceBitmap(Addr obj) const;
 
     // --- bookkeeping ---------------------------------------------------
 

@@ -65,8 +65,8 @@ KlassDescriptor::makeArray(std::string name, FieldType elem)
 
 KlassRegistry::KlassRegistry(bool cereal_header_ext, Addr metadata_base)
     : headerSlots_(cereal_header_ext ? 3 : 2),
-      metadataBase_(metadata_base),
-      metadataTop_(metadata_base)
+      metadataTop_(metadata_base),
+      slotBase_(roundDown(metadata_base, 64))
 {
 }
 
@@ -76,26 +76,32 @@ KlassRegistry::add(KlassDescriptor desc)
     fatal_if(byName_.count(desc.name()),
              "class '%s' registered twice", desc.name().c_str());
 
-    std::vector<bool> bitmap;
+    std::vector<std::uint64_t> bitmap;
+    Addr bitmap_words = 1;
     if (!desc.isArray()) {
         // Build the per-instance layout bitmap: header slots are values,
         // then one bit per field.
-        bitmap.assign(headerSlots_, false);
-        for (const auto &f : desc.fields()) {
-            bitmap.push_back(f.type == FieldType::Reference);
+        const std::size_t slots = headerSlots_ + desc.numFields();
+        bitmap_words = (slots + 63) / 64;
+        bitmap.assign(bitmap_words, 0);
+        for (std::size_t f = 0; f < desc.numFields(); ++f) {
+            if (desc.fields()[f].type == FieldType::Reference) {
+                const std::size_t s = headerSlots_ + f;
+                bitmap[s / 64] |= std::uint64_t{1} << (s % 64);
+            }
         }
     }
 
     // Metadata block: 8 B of size/kind info plus the packed bitmap words
     // (arrays get a fixed 16 B block: kind + element type).
-    Addr bitmap_words = desc.isArray() ? 1 : (bitmap.size() + 63) / 64;
     Addr meta_bytes = 8 + bitmap_words * 8;
     Addr meta_addr = metadataTop_;
     metadataTop_ = roundUp(metadataTop_ + meta_bytes, 64);
 
     KlassId id = static_cast<KlassId>(descs_.size());
     byName_.emplace(desc.name(), id);
-    byMetaAddr_.emplace(meta_addr, id);
+    bySlot_.resize((metadataTop_ - slotBase_) / 64, kBadKlassId);
+    bySlot_[(meta_addr - slotBase_) / 64] = id;
     descs_.push_back(Record{std::move(desc), std::move(bitmap), meta_addr,
                             meta_bytes});
     return id;
@@ -149,14 +155,15 @@ KlassRegistry::arraySlots(KlassId id, std::uint64_t n) const
            static_cast<unsigned>((data_bytes + 7) / 8);
 }
 
-const std::vector<bool> &
+SlotBitmap
 KlassRegistry::layoutBitmap(KlassId id) const
 {
     panic_if(id >= descs_.size(), "bad klass id %u", id);
-    panic_if(descs_[id].desc.isArray(),
+    const Record &r = descs_[id];
+    panic_if(r.desc.isArray(),
              "static layoutBitmap() on array class; array bitmaps depend "
              "on instance length");
-    return descs_[id].bitmap;
+    return SlotBitmap(r.bitmap.data(), headerSlots_ + r.desc.numFields());
 }
 
 Addr
@@ -171,13 +178,6 @@ KlassRegistry::metadataBytes(KlassId id) const
 {
     panic_if(id >= descs_.size(), "bad klass id %u", id);
     return descs_[id].metaBytes;
-}
-
-KlassId
-KlassRegistry::idByMetadataAddr(Addr addr) const
-{
-    auto it = byMetaAddr_.find(addr);
-    return it == byMetaAddr_.end() ? kBadKlassId : it->second;
 }
 
 } // namespace cereal

@@ -21,6 +21,7 @@
 #ifndef CEREAL_HEAP_KLASS_HH
 #define CEREAL_HEAP_KLASS_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
@@ -96,6 +97,92 @@ class KlassDescriptor
 };
 
 /**
+ * Borrowed layout bitmap of one object: bit i is set iff 8 B slot i
+ * holds a reference (paper Figure 4a).
+ *
+ * A view never owns storage. It reads either caller-held 64-bit words
+ * (bit i is bit i % 64 of word i / 64: the registry's per-class layout,
+ * or a bitmap decoded from a stream), or, for an array, one run
+ * [first, end) of reference slots.
+ */
+class SlotBitmap
+{
+  public:
+    SlotBitmap() = default;
+
+    /** Bits [0, @p size) of @p words; bits past @p size are ignored. */
+    SlotBitmap(const std::uint64_t *words, std::size_t size)
+        : words_(words), size_(size)
+    {
+    }
+
+    /** @p size slots with exactly [@p first, @p end) set. */
+    static SlotBitmap
+    run(std::size_t size, std::size_t first, std::size_t end)
+    {
+        SlotBitmap b;
+        b.size_ = size;
+        b.first_ = first;
+        b.end_ = end;
+        return b;
+    }
+
+    std::size_t size() const { return size_; }
+
+    bool
+    operator[](std::size_t i) const
+    {
+        return words_ ? (words_[i >> 6] >> (i & 63)) & 1
+                      : (i >= first_ && i < end_);
+    }
+
+    /**
+     * Bits [i, i + k) as an integer, bit i lowest. Requires k <= 56
+     * and i + k <= size().
+     */
+    std::uint64_t
+    chunk(std::size_t i, unsigned k) const
+    {
+        const std::uint64_t mask = (std::uint64_t{1} << k) - 1;
+        if (words_) {
+            const unsigned sh = i & 63;
+            std::uint64_t v = words_[i >> 6] >> sh;
+            if (sh + k > 64) {
+                v |= words_[(i >> 6) + 1] << (64 - sh);
+            }
+            return v & mask;
+        }
+        const std::size_t lo = std::max(first_, i);
+        const std::size_t hi = std::min(end_, i + k);
+        return lo < hi ? ((std::uint64_t{1} << (hi - lo)) - 1) << (lo - i)
+                       : 0;
+    }
+
+    /** Same length and the same bits. */
+    bool
+    operator==(const SlotBitmap &o) const
+    {
+        if (size_ != o.size_) {
+            return false;
+        }
+        for (std::size_t i = 0; i < size_; i += 56) {
+            const auto k = static_cast<unsigned>(
+                std::min<std::size_t>(56, size_ - i));
+            if (chunk(i, k) != o.chunk(i, k)) {
+                return false;
+            }
+        }
+        return true;
+    }
+
+  private:
+    const std::uint64_t *words_ = nullptr;
+    std::size_t size_ = 0;
+    std::size_t first_ = 0;
+    std::size_t end_ = 0;
+};
+
+/**
  * Registry of all classes known to one simulated JVM.
  *
  * Construction fixes the header geometry (2 slots, or 3 with the Cereal
@@ -166,7 +253,7 @@ class KlassRegistry
      * Layout bitmap of a non-array instance: bit i set iff slot i holds
      * a reference (paper Figure 4a). Header slots are always zero.
      */
-    const std::vector<bool> &layoutBitmap(KlassId id) const;
+    SlotBitmap layoutBitmap(KlassId id) const;
 
     /** Simulated address of the metadata block for class @p id. */
     Addr metadataAddr(KlassId id) const;
@@ -174,24 +261,45 @@ class KlassRegistry
     /** Size in bytes of the metadata block for class @p id. */
     Addr metadataBytes(KlassId id) const;
 
-    /** Reverse map: metadata address -> class id (kBadKlassId if none). */
-    KlassId idByMetadataAddr(Addr addr) const;
+    /**
+     * Reverse map: metadata address -> class id (kBadKlassId unless
+     * @p addr is exactly the start of a registered class's block).
+     */
+    KlassId
+    idByMetadataAddr(Addr addr) const
+    {
+        // Each block starts in its own 64 B slot counted from the
+        // aligned-down base (the first block sits at the base itself,
+        // later ones at the 64 B boundary after their predecessor), so
+        // a shift finds the only class that can start there.
+        const Addr slot = (addr - slotBase_) >> 6;
+        if (addr < slotBase_ || slot >= bySlot_.size()) {
+            return kBadKlassId;
+        }
+        const KlassId id = bySlot_[slot];
+        return id != kBadKlassId && descs_[id].metaAddr == addr
+                   ? id
+                   : kBadKlassId;
+    }
 
   private:
     struct Record
     {
         KlassDescriptor desc;
-        std::vector<bool> bitmap; // empty for arrays
+        /** Layout bitmap words (SlotBitmap form); empty for arrays. */
+        std::vector<std::uint64_t> bitmap;
         Addr metaAddr;
         Addr metaBytes;
     };
 
     unsigned headerSlots_;
-    Addr metadataBase_;
     Addr metadataTop_;
+    /** metadata_base rounded down to 64 B: slot 0 of bySlot_. */
+    Addr slotBase_;
     std::vector<Record> descs_;
+    /** Class whose block starts in each 64 B metadata slot. */
+    std::vector<KlassId> bySlot_;
     std::unordered_map<std::string, KlassId> byName_;
-    std::unordered_map<Addr, KlassId> byMetaAddr_;
     std::unordered_map<std::uint8_t, KlassId> arrayKlasses_;
 };
 

@@ -107,7 +107,7 @@ SkywaySerializer::serialize(Heap &src, Addr root, MemSink *sink)
 
         ObjectView v(src, obj);
         const unsigned slots = v.slots();
-        const auto bitmap = src.instanceBitmap(obj);
+        const SlotBitmap bitmap = src.instanceBitmap(obj);
         const unsigned header_slots = src.registry().headerSlots();
 
         for (unsigned s = 0; s < slots; ++s) {
@@ -291,7 +291,7 @@ SkywaySerializer::deserialize(const std::vector<std::uint8_t> &stream,
         }
 
         const unsigned slots = dst.objectSlots(obj);
-        const auto bitmap = dst.instanceBitmap(obj);
+        const SlotBitmap bitmap = dst.instanceBitmap(obj);
         for (unsigned s = header_slots; s < slots; ++s) {
             if (!bitmap[s]) {
                 continue;

@@ -2,16 +2,20 @@
  * @file
  * Discrete-event simulation kernel.
  *
- * The EventQueue holds (tick, sequence, callback) triples and fires them
- * in tick order; ties break in scheduling order so the simulation is
- * deterministic. Callbacks are stored in an EventCallback — a move-only
- * callable wrapper with 56 bytes of inline storage — so the common case
- * (component lambdas capturing a few pointers and a payload handle)
- * schedules without touching the global heap, unlike std::function whose
- * small-buffer window on mainstream libraries is 16 bytes. The queue is
- * an explicit binary heap over a std::vector, which lets callers
- * reserve() capacity up front and lets step() move the top record out
- * without const_cast gymnastics.
+ * The EventQueue fires callbacks in tick order; ties break in scheduling
+ * order so the simulation is deterministic. Callbacks are stored in an
+ * EventCallback — a move-only callable wrapper with 56 bytes of inline
+ * storage — so the common case (component lambdas capturing a few
+ * pointers and a payload handle) schedules without touching the global
+ * heap, unlike std::function whose small-buffer window on mainstream
+ * libraries is 16 bytes.
+ *
+ * The ordering structure is a binary heap of 24-byte trivially copyable
+ * keys (tick, sequence, callback slot). The callbacks themselves sit in
+ * a side array whose slots are recycled through a free list, so a sift
+ * moves plain keys and never calls a callback's relocate hook; each
+ * event's callback moves exactly twice, into its slot and back out to
+ * run. reserve() pre-sizes the keys, the slots and the free list.
  */
 
 #ifndef CEREAL_SIM_EVENT_QUEUE_HH
@@ -178,7 +182,7 @@ class EventQueue
   public:
     using Callback = EventCallback;
 
-    EventQueue() { heap_.reserve(64); }
+    EventQueue() { reserve(64); }
 
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
@@ -187,7 +191,13 @@ class EventQueue
     Tick now() const { return now_; }
 
     /** Pre-size the pending-event store for @p n events. */
-    void reserve(std::size_t n) { heap_.reserve(n); }
+    void
+    reserve(std::size_t n)
+    {
+        heap_.reserve(n);
+        callbacks_.reserve(n);
+        freeSlots_.reserve(n);
+    }
 
     /** Schedule @p cb to run at absolute tick @p when (>= now). */
     void
@@ -195,7 +205,16 @@ class EventQueue
     {
         panic_if(when < now_, "scheduling event in the past (%llu < %llu)",
                  (unsigned long long)when, (unsigned long long)now_);
-        heap_.push_back(Scheduled{when, nextSeq_++, std::move(cb)});
+        std::uint32_t slot;
+        if (freeSlots_.empty()) {
+            slot = static_cast<std::uint32_t>(callbacks_.size());
+            callbacks_.push_back(std::move(cb));
+        } else {
+            slot = freeSlots_.back();
+            freeSlots_.pop_back();
+            callbacks_[slot] = std::move(cb);
+        }
+        heap_.push_back(Key{when, nextSeq_++, slot});
         siftUp(heap_.size() - 1);
     }
 
@@ -229,12 +248,15 @@ class EventQueue
         if (heap_.empty()) {
             return false;
         }
-        // Move the scheduled record out before re-heapifying: the
-        // callback may schedule new events and mutate the heap.
-        Scheduled ev = popTop();
-        now_ = ev.when;
+        // Move the callback out and recycle its slot before running it:
+        // the callback may schedule new events, which can reuse the slot
+        // or grow the slot array.
+        const Key top = popTop();
+        now_ = top.when;
         ++executed_;
-        ev.cb();
+        Callback cb = std::move(callbacks_[top.slot]);
+        freeSlots_.push_back(top.slot);
+        cb();
         return true;
     }
 
@@ -286,14 +308,15 @@ class EventQueue
     std::uint64_t executedCount() const { return executed_; }
 
   private:
-    struct Scheduled
+    /** Heap entry: ordering key plus the callback's slot. */
+    struct Key
     {
         Tick when;
         std::uint64_t seq;
-        Callback cb;
+        std::uint32_t slot;
 
         bool
-        before(const Scheduled &o) const
+        before(const Key &o) const
         {
             if (when != o.when) {
                 return when < o.when;
@@ -301,51 +324,59 @@ class EventQueue
             return seq < o.seq;
         }
     };
+    static_assert(sizeof(Key) == 24 && std::is_trivially_copyable_v<Key>);
 
     void
     siftUp(std::size_t i)
     {
+        const Key k = heap_[i];
         while (i > 0) {
             const std::size_t parent = (i - 1) / 2;
-            if (!heap_[i].before(heap_[parent])) {
+            if (!k.before(heap_[parent])) {
                 break;
             }
-            std::swap(heap_[i], heap_[parent]);
+            heap_[i] = heap_[parent];
             i = parent;
         }
+        heap_[i] = k;
     }
 
-    Scheduled
+    Key
     popTop()
     {
-        Scheduled top = std::move(heap_.front());
-        if (heap_.size() > 1) {
-            heap_.front() = std::move(heap_.back());
-        }
+        const Key top = heap_.front();
+        const Key last = heap_.back();
         heap_.pop_back();
-        // Sift the displaced tail element down to its place.
         const std::size_t n = heap_.size();
+        if (n == 0) {
+            return top;
+        }
+        // Sift the displaced tail key down from the root.
         std::size_t i = 0;
         while (true) {
             const std::size_t l = 2 * i + 1;
-            const std::size_t r = l + 1;
-            std::size_t best = i;
-            if (l < n && heap_[l].before(heap_[best])) {
-                best = l;
-            }
-            if (r < n && heap_[r].before(heap_[best])) {
-                best = r;
-            }
-            if (best == i) {
+            if (l >= n) {
                 break;
             }
-            std::swap(heap_[i], heap_[best]);
+            std::size_t best = l;
+            if (l + 1 < n && heap_[l + 1].before(heap_[l])) {
+                best = l + 1;
+            }
+            if (!heap_[best].before(last)) {
+                break;
+            }
+            heap_[i] = heap_[best];
             i = best;
         }
+        heap_[i] = last;
         return top;
     }
 
-    std::vector<Scheduled> heap_;
+    std::vector<Key> heap_;
+    /** Pending callbacks, indexed by Key::slot. */
+    std::vector<Callback> callbacks_;
+    /** Slots of callbacks_ free for reuse. */
+    std::vector<std::uint32_t> freeSlots_;
     Tick now_ = 0;
     std::uint64_t nextSeq_ = 0;
     std::uint64_t executed_ = 0;

@@ -12,6 +12,7 @@
 #include "cereal/format.hh"
 #include "heap/object.hh"
 #include "heap/walker.hh"
+#include "serde/decode_error.hh"
 #include "sim/rng.hh"
 #include "workloads/micro.hh"
 
@@ -20,6 +21,27 @@ namespace {
 
 using workloads::MicroBench;
 using workloads::MicroWorkloads;
+
+/** SlotBitmap words (bit i = bit i % 64 of word i / 64) of @p bits. */
+std::vector<std::uint64_t>
+toWords(const std::vector<bool> &bits)
+{
+    std::vector<std::uint64_t> w(bits.size() / 64 + 1, 0);
+    for (std::size_t i = 0; i < bits.size(); ++i) {
+        w[i / 64] |= std::uint64_t{bits[i]} << (i % 64);
+    }
+    return w;
+}
+
+std::vector<bool>
+toBools(const SlotBitmap &bm)
+{
+    std::vector<bool> out(bm.size());
+    for (std::size_t i = 0; i < bm.size(); ++i) {
+        out[i] = bm[i];
+    }
+    return out;
+}
 
 TEST(ObjectPacker, SingleSmallValue)
 {
@@ -99,16 +121,19 @@ TEST(ObjectPacker, ValueSequenceProperty)
 TEST(ObjectPacker, BitStringPreservesLeadingZeros)
 {
     // Bitmaps start with header zeros; they must survive packing.
-    std::vector<bool> bm = {false, false, false, true, false, true};
+    const std::vector<bool> bm = {false, false, false, true, false, true};
+    const auto words = toWords(bm);
     ObjectPacker p;
-    p.packBits(bm);
+    p.packBits(SlotBitmap(words.data(), bm.size()));
     ObjectUnpacker u(p.buckets(), p.endMap());
-    EXPECT_EQ(u.nextBits(), bm);
+    std::vector<std::uint64_t> buf;
+    EXPECT_EQ(toBools(u.nextBits(buf)), bm);
 }
 
 TEST(ObjectPacker, BitStringSequenceProperty)
 {
     Rng rng(123);
+    std::vector<std::uint64_t> buf;
     for (int trial = 0; trial < 50; ++trial) {
         ObjectPacker p;
         std::vector<std::vector<bool>> all;
@@ -120,14 +145,206 @@ TEST(ObjectPacker, BitStringSequenceProperty)
                 bits.push_back(rng.chance(0.3));
             }
             all.push_back(bits);
-            p.packBits(bits);
+            const auto words = toWords(bits);
+            p.packBits(SlotBitmap(words.data(), bits.size()));
         }
         ObjectUnpacker u(p.buckets(), p.endMap());
         for (const auto &bits : all) {
-            ASSERT_EQ(u.nextBits(), bits);
+            ASSERT_EQ(toBools(u.nextBits(buf)), bits);
         }
         EXPECT_TRUE(u.done());
     }
+}
+
+/**
+ * Bit-by-bit reference packer, written straight from Figure 5: the
+ * entry's bits behind a marker '1', MSB first, left-padded with zeros
+ * to whole buckets, one end-map bit per bucket.
+ */
+struct ReferencePacker
+{
+    std::vector<std::uint8_t> buckets;
+    std::vector<std::uint8_t> endMap;
+
+    void
+    packBits(const std::vector<bool> &bits)
+    {
+        std::vector<bool> run{true};
+        run.insert(run.end(), bits.begin(), bits.end());
+        const std::size_t bytes = (run.size() + 7) / 8;
+        const std::size_t pad = bytes * 8 - run.size();
+        for (std::size_t b = 0; b < bytes; ++b) {
+            unsigned v = 0;
+            for (unsigned i = 0; i < 8; ++i) {
+                const std::size_t g = b * 8 + i;
+                v = (v << 1) | (g >= pad && run[g - pad] ? 1u : 0u);
+            }
+            buckets.push_back(static_cast<std::uint8_t>(v));
+            if ((buckets.size() - 1) / 8 >= endMap.size()) {
+                endMap.push_back(0);
+            }
+        }
+        const std::size_t last = buckets.size() - 1;
+        endMap[last / 8] |= static_cast<std::uint8_t>(1u << (last % 8));
+    }
+
+    void
+    packValue(std::uint64_t v)
+    {
+        std::vector<bool> bits;
+        for (int i = 63; i >= 0; --i) {
+            const bool bit = (v >> i) & 1;
+            if (bit || !bits.empty()) {
+                bits.push_back(bit);
+            }
+        }
+        packBits(bits);
+    }
+};
+
+TEST(ObjectPacker, ValuesMatchReferencePackerAtEveryWidth)
+{
+    Rng rng(2027);
+    ObjectPacker p;
+    ReferencePacker ref;
+    std::vector<std::uint64_t> vals;
+    for (unsigned w = 0; w <= 64; ++w) {
+        if (w == 0) {
+            vals.push_back(0);
+            continue;
+        }
+        const std::uint64_t top = std::uint64_t{1} << (w - 1);
+        const std::uint64_t ones = top | (top - 1); // 2^w - 1
+        vals.push_back(top);
+        vals.push_back(ones);
+        vals.push_back(top | (rng.next() & (top - 1)));
+    }
+    for (std::uint64_t v : vals) {
+        ObjectPacker one;
+        ReferencePacker one_ref;
+        one.packValue(v);
+        one_ref.packValue(v);
+        ASSERT_EQ(one.buckets(), one_ref.buckets) << std::hex << v;
+        ASSERT_EQ(one.endMap(), one_ref.endMap) << std::hex << v;
+        p.packValue(v);
+        ref.packValue(v);
+    }
+    // The same values back to back: end-map bytes shared across entries.
+    EXPECT_EQ(p.buckets(), ref.buckets);
+    EXPECT_EQ(p.endMap(), ref.endMap);
+    EXPECT_EQ(p.entries(), vals.size());
+    ObjectUnpacker u(p.buckets(), p.endMap());
+    for (std::uint64_t v : vals) {
+        ASSERT_EQ(u.nextValue(), v);
+    }
+    EXPECT_TRUE(u.done());
+}
+
+TEST(ObjectPacker, BitStringsMatchReferencePacker)
+{
+    Rng rng(2027);
+    ObjectPacker p;
+    ReferencePacker ref;
+    std::vector<std::vector<bool>> all;
+    for (int len = 0; len <= 300; ++len) {
+        std::vector<bool> bits;
+        for (int b = 0; b < len; ++b) {
+            bits.push_back(rng.chance(0.5));
+        }
+        const auto words = toWords(bits);
+        p.packBits(SlotBitmap(words.data(), bits.size()));
+        ref.packBits(bits);
+        all.push_back(std::move(bits));
+    }
+    // Array-style runs: header zeros then a block of reference slots.
+    for (std::size_t len : {3u, 4u, 12u, 64u, 65u, 200u}) {
+        std::vector<bool> bits(len, false);
+        for (std::size_t i = 4; i < len; ++i) {
+            bits[i] = true;
+        }
+        p.packBits(SlotBitmap::run(len, 4, std::max<std::size_t>(4, len)));
+        ref.packBits(bits);
+        all.push_back(std::move(bits));
+    }
+    EXPECT_EQ(p.buckets(), ref.buckets);
+    EXPECT_EQ(p.endMap(), ref.endMap);
+
+    ObjectUnpacker u(p.buckets(), p.endMap());
+    std::vector<std::uint64_t> buf;
+    for (const auto &bits : all) {
+        ASSERT_EQ(toBools(u.nextBits(buf)), bits) << bits.size();
+    }
+    EXPECT_TRUE(u.done());
+}
+
+/** Status and offset of the DecodeError @p fn throws. */
+template <typename Fn>
+std::pair<DecodeStatus, std::size_t>
+decodeFailure(Fn fn)
+{
+    try {
+        fn();
+    } catch (const DecodeError &e) {
+        return {e.status(), e.offset()};
+    }
+    ADD_FAILURE() << "expected a DecodeError";
+    return {DecodeStatus::Malformed, ~std::size_t{0}};
+}
+
+using Failure = std::pair<DecodeStatus, std::size_t>;
+
+TEST(ObjectUnpacker, MissingMarkerIsMalformedAtRunStart)
+{
+    // Entry 0 = 0x05; entry 1 spans buckets 1-2, both zero.
+    const std::vector<std::uint8_t> buckets = {0x05, 0x00, 0x00};
+    const std::vector<std::uint8_t> end_map = {0x05};
+    ObjectUnpacker u(buckets, end_map);
+    EXPECT_EQ(u.nextValue(), 1u);
+    EXPECT_EQ(decodeFailure([&] { u.nextValue(); }),
+              Failure(DecodeStatus::Malformed, 1));
+    ObjectUnpacker bits(buckets, end_map);
+    std::vector<std::uint64_t> buf;
+    bits.nextBits(buf);
+    EXPECT_EQ(decodeFailure([&] { bits.nextBits(buf); }),
+              Failure(DecodeStatus::Malformed, 1));
+}
+
+TEST(ObjectUnpacker, ValueWiderThan64BitsIsMalformed)
+{
+    // Entry 0 = 0; entry 1: nine buckets whose first has the marker at
+    // bit 1, leaving 65 payload bits.
+    std::vector<std::uint8_t> buckets = {0x01, 0x03};
+    buckets.insert(buckets.end(), 8, 0xff);
+    const std::vector<std::uint8_t> end_map = {0x01, 0x02};
+    ObjectUnpacker u(buckets, end_map);
+    EXPECT_EQ(u.nextValue(), 0u);
+    EXPECT_EQ(decodeFailure([&] { u.nextValue(); }),
+              Failure(DecodeStatus::Malformed, 1));
+    // As a bit string the same run is fine: 65 bits, all ones.
+    ObjectUnpacker bits(buckets, end_map);
+    std::vector<std::uint64_t> buf;
+    bits.nextBits(buf);
+    EXPECT_EQ(toBools(bits.nextBits(buf)), std::vector<bool>(65, true));
+}
+
+TEST(ObjectUnpacker, UnterminatedRunIsTruncatedAtBucketEnd)
+{
+    const std::vector<std::uint8_t> buckets = {0x01, 0x05, 0x07};
+    const std::vector<std::uint8_t> end_map = {0x01};
+    ObjectUnpacker u(buckets, end_map);
+    EXPECT_EQ(u.nextValue(), 0u);
+    EXPECT_EQ(decodeFailure([&] { u.nextValue(); }),
+              Failure(DecodeStatus::Truncated, 3));
+}
+
+TEST(ObjectUnpacker, ShortEndMapIsTruncatedAtFirstUncoveredBucket)
+{
+    // Nine buckets, one end-map byte: bucket 8 has no end bit to read.
+    const std::vector<std::uint8_t> buckets(9, 0x01);
+    const std::vector<std::uint8_t> end_map = {0x00};
+    ObjectUnpacker u(buckets, end_map);
+    EXPECT_EQ(decodeFailure([&] { u.nextValue(); }),
+              Failure(DecodeStatus::Truncated, 8));
 }
 
 TEST(ObjectPacker, EndMapSizeIsBucketCountOverEight)

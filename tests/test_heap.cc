@@ -148,8 +148,9 @@ TEST_F(HeapTest, PrimitiveArrayBitmapAllZero)
 {
     Addr arr = heap.allocateArray(FieldType::Long, 4);
     auto bm = heap.instanceBitmap(arr);
-    for (bool b : bm) {
-        EXPECT_FALSE(b);
+    ASSERT_EQ(bm.size(), 3u + 1u + 4u);
+    for (std::size_t i = 0; i < bm.size(); ++i) {
+        EXPECT_FALSE(bm[i]);
     }
 }
 
@@ -205,6 +206,60 @@ TEST_F(HeapTest, MetadataAddressesResolve)
     // Object klass pointers hold the metadata address.
     Addr obj = heap.allocateInstance(node);
     EXPECT_EQ(heap.load64(obj + 8), meta);
+}
+
+TEST(KlassIndex, UnalignedMetadataBaseResolvesEveryClass)
+{
+    // The first block sits at the unaligned base itself; later blocks
+    // start at the 64 B boundary after their predecessor.
+    const Addr base = 0x0800'0000'0028ULL;
+    KlassRegistry reg(true, base);
+    std::vector<FieldDesc> wide;
+    for (int i = 0; i < 600; ++i) {
+        // 603 slots -> 10 bitmap words -> an 88 B block over two slots.
+        wide.push_back({"f" + std::to_string(i), FieldType::Reference});
+    }
+    const std::vector<KlassId> ids = {
+        reg.add("A", {{"x", FieldType::Long}}),
+        reg.add("Wide", wide),
+        reg.arrayKlass(FieldType::Int),
+        reg.add("Empty", {}),
+    };
+    EXPECT_EQ(reg.metadataAddr(ids[0]), base);
+    EXPECT_GT(reg.metadataBytes(ids[1]), 64u);
+    for (KlassId id : ids) {
+        EXPECT_EQ(reg.idByMetadataAddr(reg.metadataAddr(id)), id)
+            << reg.klass(id).name();
+        if (id != ids[0]) {
+            EXPECT_EQ(reg.metadataAddr(id) % 64, 0u);
+        }
+    }
+}
+
+TEST(KlassIndex, AddressesOffBlockStartsAreBad)
+{
+    const Addr base = 0x0800'0000'0028ULL;
+    KlassRegistry reg(true, base);
+    std::vector<FieldDesc> wide;
+    for (int i = 0; i < 600; ++i) {
+        wide.push_back({"f" + std::to_string(i), FieldType::Long});
+    }
+    const KlassId a = reg.add("A", {{"x", FieldType::Long}});
+    const KlassId w = reg.add("Wide", wide);
+    const KlassId last = reg.add("B", {{"y", FieldType::Reference}});
+
+    // Inside a block: one word in, and the second slot a wide block
+    // covers.
+    EXPECT_EQ(reg.idByMetadataAddr(reg.metadataAddr(a) + 8), kBadKlassId);
+    EXPECT_EQ(reg.idByMetadataAddr(reg.metadataAddr(w) + 64), kBadKlassId);
+    // Below the base: inside its 64 B slot, the slot before, and 0.
+    EXPECT_EQ(reg.idByMetadataAddr(base - 8), kBadKlassId);
+    EXPECT_EQ(reg.idByMetadataAddr(base - 64), kBadKlassId);
+    EXPECT_EQ(reg.idByMetadataAddr(0), kBadKlassId);
+    // Past the last class.
+    EXPECT_EQ(reg.idByMetadataAddr(reg.metadataAddr(last) + 64),
+              kBadKlassId);
+    EXPECT_EQ(reg.idByMetadataAddr(~Addr{0}), kBadKlassId);
 }
 
 TEST_F(HeapTest, ArrayKlassCanonicalised)

@@ -59,6 +59,36 @@ TEST(EventQueue, SameTickEventsScheduledFromCallbacksKeepFifoOrder)
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
+TEST(EventQueue, RecycledCallbackSlotsKeepSameTickFifoOrder)
+{
+    // A callback's slot is recycled before it runs, so the events it
+    // schedules can land in that very slot (or any freed one) while
+    // older same-tick events sit in higher slots. Order must follow
+    // scheduling order, never slot index, and the running callback's
+    // captures must survive its slot being reused.
+    EventQueue eq;
+    std::vector<int> order;
+    const int tag = 0;
+    eq.schedule(10, [&eq, &order, tag] {
+        eq.schedule(10, [&order] { order.push_back(3); }); // reuses slot
+        order.push_back(tag);
+        eq.schedule(10, [&eq, &order] {
+            order.push_back(4);
+            eq.schedule(10, [&order] { order.push_back(6); });
+        });
+    });
+    eq.schedule(10, [&order] { order.push_back(1); });
+    eq.schedule(10, [&eq, &order] {
+        order.push_back(2);
+        eq.schedule(10, [&order] { order.push_back(5); });
+    });
+    eq.schedule(11, [&order] { order.push_back(7); });
+    eq.runAll();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+    EXPECT_EQ(eq.now(), 11u);
+    EXPECT_EQ(eq.executedCount(), 8u);
+}
+
 TEST(EventQueue, ScheduleAndScheduleInInterleaveDeterministically)
 {
     // schedule(now + d) and scheduleIn(d) land in the same FIFO class

@@ -7,7 +7,8 @@
  *    recycling, zeroing, growth).
  *  - A global-operator-new counting proof that the hot event loop
  *    allocates zero bytes per event (same technique as test_trace's
- *    null-sink guarantee).
+ *    null-sink guarantee), and that Cereal serialization, functional
+ *    and accelerator model, allocates nothing per object.
  *  - Dram::accessRange batched fast path vs the per-burst access()
  *    loop: identical completion ticks, counters, latency accounting,
  *    and bank/bus state.
@@ -27,6 +28,8 @@
 #include <new>
 #include <vector>
 
+#include "cereal/accel/device.hh"
+#include "cereal/cereal_serializer.hh"
 #include "cluster/cluster.hh"
 #include "mem/dram.hh"
 #include "serde/java_serde.hh"
@@ -243,6 +246,58 @@ TEST(EventLoop, HotPathAllocatesZeroBytesPerEvent)
         << " times over 100000 events";
     EXPECT_EQ(remaining, 0u);
     EXPECT_EQ(eq.executedCount(), 100000u);
+}
+
+// ----------------------------------- allocation-free Cereal hot path
+
+/** operator new calls one Cereal serialization makes, per layer. */
+struct CerealAllocs
+{
+    std::uint64_t objects = 0;
+    std::uint64_t functional = 0;
+    std::uint64_t device = 0;
+};
+
+CerealAllocs
+countCerealAllocs(std::uint64_t scale)
+{
+    KlassRegistry reg;
+    workloads::MicroWorkloads micro(reg);
+    Heap src(reg);
+    const Addr root =
+        micro.build(src, workloads::MicroBench::TreeWide, scale, 42);
+    CerealSerializer ser;
+    ser.registerAll(reg);
+    EventQueue eq;
+    Dram dram("dram", eq);
+    CerealDevice dev(dram);
+
+    CerealAllocs out;
+    std::uint64_t before = g_allocCount.load();
+    const CerealStream s = ser.serializeToStream(src, root);
+    out.functional = g_allocCount.load() - before;
+    out.objects = s.objectCount;
+
+    before = g_allocCount.load();
+    dev.serialize(src, root, 0);
+    out.device = g_allocCount.load() - before;
+    return out;
+}
+
+TEST(CerealHotPath, AllocationsDoNotGrowWithObjectCount)
+{
+    // 8x the objects: per-object allocation would add hundreds of
+    // thousands of calls; buffers that grow by doubling add about
+    // log2(8) = 3 each.
+    const CerealAllocs small = countCerealAllocs(4096);
+    const CerealAllocs large = countCerealAllocs(512);
+    ASSERT_GT(large.objects, 7 * small.objects);
+    EXPECT_LE(large.functional, small.functional + 24)
+        << small.functional << " -> " << large.functional << " for "
+        << small.objects << " -> " << large.objects << " objects";
+    EXPECT_LE(large.device, small.device + 24)
+        << small.device << " -> " << large.device << " for "
+        << small.objects << " -> " << large.objects << " objects";
 }
 
 // --------------------------------------------- DRAM batched ticking
