@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <bit>
+#include <functional>
+#include <queue>
 #include <vector>
 
 #include "heap/object.hh"
 #include "metrics/metrics.hh"
-#include "sim/event_queue.hh"
 #include "sim/flat.hh"
 #include "sim/logging.hh"
 
@@ -66,22 +67,93 @@ packedRefBuckets(std::uint64_t token)
     return std::bit_width(token) / 8 + 1;
 }
 
+/** Position of one SU event in the global (tick, sequence) order. */
+struct EventKey
+{
+    Tick when;
+    std::uint64_t seq;
+
+    bool
+    operator<(const EventKey &o) const
+    {
+        return when != o.when ? when < o.when : seq < o.seq;
+    }
+    bool operator>(const EventKey &o) const { return o < *this; }
+};
+
+/**
+ * FIFO of object-handler events, each naming one object, whose ticks
+ * never decrease, so its front is always its earliest event. Keys and
+ * objects sit in separate rings: the event scan reads only keys, and
+ * no ring buffer holds more than 16 B per event (DESIGN.md "Simulation
+ * performance model" item 6 has the effect on peak RSS).
+ */
+class ObjectEventFifo
+{
+  public:
+    explicit ObjectEventFifo(Tick start) : tail_(start) {}
+
+    bool empty() const { return keys_.empty(); }
+    const EventKey &frontKey() { return keys_.front(); }
+
+    /** Remove the front event and return its object. */
+    Addr
+    pop()
+    {
+        const Addr obj = objs_.front();
+        keys_.pop_front();
+        objs_.pop_front();
+        return obj;
+    }
+
+    void
+    push(EventKey key, Addr obj)
+    {
+        panic_if(key.when < tail_,
+                 "SU object event at %llu behind the stream tail %llu",
+                 (unsigned long long)key.when, (unsigned long long)tail_);
+        tail_ = key.when;
+        keys_.push_back(key);
+        objs_.push_back(obj);
+    }
+
+  private:
+    sim::RingQueue<EventKey> keys_;
+    sim::RingQueue<Addr> objs_;
+    Tick tail_;
+};
+
 /**
  * Event-driven execution state of one serialization operation.
  *
- * The SU pipeline is simulated on a private event queue so that memory
- * requests reach the MAI in nondecreasing simulated-time order — the
+ * The SU pipeline runs as three event streams so that memory requests
+ * reach the MAI in nondecreasing simulated-time order — the
  * schedule-synchronous DRAM model relies on that to see the bank idle
- * periods that really existed.
+ * periods that really existed:
+ *
+ *  - object issue (the OH's bulk load), a FIFO: each object is issued
+ *    once its size is known, and the HM learns one object's size only
+ *    after it is free of the previous one, so issue ticks never
+ *    decrease;
+ *  - object complete (data arrived at the OH), a FIFO: the OH finishes
+ *    objects in order, so completion ticks never decrease;
+ *  - HM wakes, a min-heap: the only stream whose ticks can go back,
+ *    when a newly discovered reference is ready before the HM's
+ *    pending wake.
+ *
+ * One sequence counter numbers the events of all three streams, and
+ * each step runs the smallest (tick, sequence) head, so events run in
+ * tick order with ties in scheduling order.
  */
 class SuSim
 {
   public:
     SuSim(Heap &heap, Mai &mai, const AccelConfig &cfg, Tick start,
           Addr stream_base, trace::TraceEmitter trace)
-        : heap_(&heap), mai_(&mai), cfg_(cfg), clk_(cfg.period()),
+        : heap_(&heap), mai_(&mai), cfg_(cfg), period_(cfg.period()),
           trace_(std::move(trace)),
-          start_(start), mdcache_(cfg.metadataCacheEntries),
+          start_(start), now_(start), issues_(start), completes_(start),
+          mdcache_(cfg.metadataCacheEntries),
           values_(mai, stream_base),
           refs_(mai, stream_base + 0x1000'0000ULL),
           refEnds_(mai, stream_base + 0x1800'0000ULL),
@@ -111,9 +183,8 @@ class SuSim
         hmFree_ = start_;
         rawFree_ = start_;
         ohFree_ = start_;
-        evq_.runUntil(start_);
         discover(root, start_);
-        evq_.runAll();
+        runEvents();
 
         // Flush residual end-map bytes for partially filled groups.
         if (refBucketsSinceEnd_ > 0) {
@@ -138,7 +209,52 @@ class SuSim
     }
 
   private:
-    Tick cyc(Cycles c) const { return clk_.cyclesToTicks(c); }
+    Tick cyc(Cycles c) const { return c * period_; }
+
+    EventKey nextKey(Tick when) { return {when, nextSeq_++}; }
+
+    /** Run every stream's events in (tick, sequence) order to the end. */
+    void
+    runEvents()
+    {
+        enum class Stream { None, Issue, Complete, Wake };
+        while (true) {
+            Stream s = Stream::None;
+            EventKey head{kMaxTick, ~std::uint64_t{0}};
+            if (!issues_.empty() && issues_.frontKey() < head) {
+                head = issues_.frontKey();
+                s = Stream::Issue;
+            }
+            if (!completes_.empty() && completes_.frontKey() < head) {
+                head = completes_.frontKey();
+                s = Stream::Complete;
+            }
+            if (!wakes_.empty() && wakes_.top() < head) {
+                head = wakes_.top();
+                s = Stream::Wake;
+            }
+            if (s == Stream::None) {
+                return;
+            }
+            panic_if(head.when < now_, "SU event at %llu before now %llu",
+                     (unsigned long long)head.when,
+                     (unsigned long long)now_);
+            now_ = head.when;
+            if (s == Stream::Issue) {
+                ohIssue(issues_.pop());
+            } else if (s == Stream::Complete) {
+                ohComplete(completes_.pop());
+            } else {
+                wakes_.pop();
+                // A wake superseded by an earlier one still runs the HM
+                // if the HM's current wake falls on the same tick.
+                if (hmWakeAt_ == head.when) {
+                    hmWakeAt_ = kMaxTick;
+                    hmStep();
+                }
+            }
+        }
+    }
 
     /** RAW output: packed reference buckets plus their end-map bits. */
     void
@@ -178,17 +294,13 @@ class SuSim
     void
     scheduleHm(Tick when)
     {
-        when = std::max(when, evq_.now());
+        when = std::max(when, now_);
         if (when >= hmWakeAt_) {
             return; // an earlier (or equal) wake is already queued
         }
+        // A later wake already queued stays in the heap; see runEvents.
         hmWakeAt_ = when;
-        evq_.schedule(when, [this, when] {
-            if (hmWakeAt_ == when) {
-                hmWakeAt_ = kMaxTick;
-                hmStep();
-            }
-        });
+        wakes_.push(nextKey(when));
     }
 
     /** Header manager: process the next pending reference if ready. */
@@ -198,7 +310,7 @@ class SuSim
         if (pending_.empty()) {
             return;
         }
-        const Tick now = evq_.now();
+        const Tick now = now_;
         if (hmFree_ > now) {
             scheduleHm(hmFree_);
             return;
@@ -270,9 +382,7 @@ class SuSim
         lastEvent_ = std::max(lastEvent_, size_known);
 
         // Object handler starts once the layout is known.
-        Addr obj = ref.target;
-        evq_.schedule(std::max(size_known, now),
-                      [this, obj] { ohIssue(obj); });
+        issues_.push(nextKey(std::max(size_known, now)), ref.target);
         scheduleHm(hmFree_);
     }
 
@@ -281,19 +391,19 @@ class SuSim
     ohIssue(Addr obj)
     {
         const unsigned slots = heap_->objectSlots(obj);
-        Tick data_done = mai_->read(obj, Addr{slots} * 8, evq_.now());
+        Tick data_done = mai_->read(obj, Addr{slots} * 8, now_);
         out_.bytesRead += Addr{slots} * 8;
         Tick oh_done = std::max(ohFree_, data_done) +
                        cyc(cfg_.ohPerSlot * slots);
         ohFree_ = oh_done;
-        evq_.schedule(oh_done, [this, obj] { ohComplete(obj); });
+        completes_.push(nextKey(oh_done), obj);
     }
 
     /** Object data arrived: steer values, hand refs to the HM. */
     void
     ohComplete(Addr obj)
     {
-        const Tick now = evq_.now();
+        const Tick now = now_;
         lastEvent_ = std::max(lastEvent_, now);
         const SlotBitmap bitmap = heap_->instanceBitmap(obj);
         const auto slots = static_cast<unsigned>(bitmap.size());
@@ -326,12 +436,19 @@ class SuSim
     Heap *heap_;
     Mai *mai_;
     AccelConfig cfg_;
-    ClockDomain clk_;
+    Tick period_;
     trace::TraceEmitter trace_;
     metrics::Group metrics_;
     Tick start_;
 
-    EventQueue evq_;
+    /** Tick of the event being run. */
+    Tick now_;
+    std::uint64_t nextSeq_ = 0;
+    ObjectEventFifo issues_;
+    ObjectEventFifo completes_;
+    std::priority_queue<EventKey, std::vector<EventKey>,
+                        std::greater<EventKey>>
+        wakes_;
     /** The OMM's small LRU cache of klass descriptors. */
     sim::LruSet<KlassId> mdcache_;
     StreamWriter values_;

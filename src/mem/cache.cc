@@ -1,100 +1,97 @@
 #include "mem/cache.hh"
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+
 #include "sim/logging.hh"
 
 namespace cereal {
 
 Cache::Cache(const CacheConfig &cfg) : cfg_(cfg)
 {
-    panic_if(!isPowerOf2(cfg_.lineBytes), "line size must be 2^n");
-    panic_if(cfg_.ways == 0, "cache needs at least one way");
-    numSets_ = cfg_.sizeBytes / (cfg_.lineBytes * cfg_.ways);
-    panic_if(numSets_ == 0, "cache smaller than one set");
-    lines_.resize(numSets_ * cfg_.ways);
-}
+    // Line size >= 2 keeps every line number below kBadAddr.
+    panic_if(!isPowerOf2(cfg_.lineBytes) || cfg_.lineBytes < 2,
+             "line size must be 2^n bytes, n >= 1");
+    panic_if(cfg_.ways == 0 || cfg_.ways > 64,
+             "cache needs 1 to 64 ways, not %u", cfg_.ways);
+    const Addr num_sets = cfg_.sizeBytes / (cfg_.lineBytes * cfg_.ways);
+    panic_if(num_sets == 0, "cache smaller than one set");
+    panic_if(!isPowerOf2(num_sets), "cache set count %llu is not 2^n",
+             (unsigned long long)num_sets);
+    lineShift_ = static_cast<unsigned>(std::countr_zero(cfg_.lineBytes));
+    setMask_ = num_sets - 1;
 
-std::size_t
-Cache::setIndex(Addr line_addr) const
-{
-    return static_cast<std::size_t>((line_addr / cfg_.lineBytes) % numSets_);
-}
-
-Addr
-Cache::tagOf(Addr line_addr) const
-{
-    return line_addr / cfg_.lineBytes / numSets_;
+    // Start the tags on a 64 B boundary (8 words).
+    const std::size_t ways = num_sets * cfg_.ways;
+    block_.resize(7 + 2 * ways + num_sets);
+    const auto base = reinterpret_cast<std::uintptr_t>(block_.data());
+    tagsAt_ = ((64 - base % 64) % 64) / sizeof(std::uint64_t);
+    stampsAt_ = tagsAt_ + ways;
+    dirtyAt_ = stampsAt_ + ways;
+    std::fill(block_.begin() + tagsAt_, block_.begin() + stampsAt_,
+              kBadAddr);
 }
 
 CacheAccessResult
 Cache::access(Addr addr, bool write)
 {
     ++clock_;
-    const Addr la = lineAddr(addr);
-    const std::size_t set = setIndex(la);
-    const Addr tag = tagOf(la);
-    Line *base = &lines_[set * cfg_.ways];
+    const Addr line = addr >> lineShift_;
+    const std::size_t first = setWays(line);
+    std::uint64_t *tags = &block_[tagsAt_ + first];
+    std::uint64_t *stamps = &block_[stampsAt_ + first];
+    std::uint64_t &dirty = block_[dirtyAt_ + (line & setMask_)];
 
     // Hit path.
     for (unsigned w = 0; w < cfg_.ways; ++w) {
-        Line &ln = base[w];
-        if (ln.valid && ln.tag == tag) {
-            ln.lastUse = clock_;
-            ln.dirty = ln.dirty || write;
+        if (tags[w] == line) {
+            stamps[w] = clock_;
+            dirty |= std::uint64_t{write} << w;
             ++hits_;
             return {true, false, kBadAddr};
         }
     }
 
-    // Miss: pick an invalid way, else the LRU way.
+    // Miss: pick the first invalid way, else the LRU way.
     ++misses_;
-    Line *victim = base;
+    unsigned victim = 0;
     for (unsigned w = 0; w < cfg_.ways; ++w) {
-        Line &ln = base[w];
-        if (!ln.valid) {
-            victim = &ln;
+        if (tags[w] == kBadAddr) {
+            victim = w;
             break;
         }
-        if (ln.lastUse < victim->lastUse) {
-            victim = &ln;
+        if (stamps[w] < stamps[victim]) {
+            victim = w;
         }
     }
 
+    const std::uint64_t bit = std::uint64_t{1} << victim;
     CacheAccessResult res{false, false, kBadAddr};
-    if (victim->valid && victim->dirty) {
+    if (tags[victim] != kBadAddr && (dirty & bit)) {
         res.writeback = true;
-        // Reconstruct the victim's line address from its tag + this set.
-        res.victimAddr =
-            (victim->tag * numSets_ + set) * cfg_.lineBytes;
+        res.victimAddr = tags[victim] << lineShift_;
     }
-
-    victim->valid = true;
-    victim->tag = tag;
-    victim->dirty = write;
-    victim->lastUse = clock_;
+    tags[victim] = line;
+    stamps[victim] = clock_;
+    dirty = write ? dirty | bit : dirty & ~bit;
     return res;
 }
 
 bool
 Cache::contains(Addr addr) const
 {
-    const Addr la = lineAddr(addr);
-    const std::size_t set = setIndex(la);
-    const Addr tag = tagOf(la);
-    const Line *base = &lines_[set * cfg_.ways];
-    for (unsigned w = 0; w < cfg_.ways; ++w) {
-        if (base[w].valid && base[w].tag == tag) {
-            return true;
-        }
-    }
-    return false;
+    const Addr line = addr >> lineShift_;
+    const std::uint64_t *tags = &block_[tagsAt_ + setWays(line)];
+    return std::find(tags, tags + cfg_.ways, line) != tags + cfg_.ways;
 }
 
 void
 Cache::flush()
 {
-    for (auto &ln : lines_) {
-        ln = Line{};
-    }
+    std::fill(block_.begin() + tagsAt_, block_.begin() + stampsAt_,
+              kBadAddr);
+    std::fill(block_.begin() + stampsAt_, block_.end(), 0);
     resetStats();
 }
 

@@ -6,6 +6,13 @@
  * the software serializers. The model tracks tags and dirty bits only —
  * data lives in the functional heap — and reports hit/miss plus any
  * dirty victim that a fill evicts, so the caller can charge writebacks.
+ *
+ * Line and set counts are powers of two, so an access finds its set
+ * with a shift and a mask. Each way's tag is the line number it holds
+ * (address >> log2(line size)). Tags, LRU stamps and per-set dirty
+ * masks are separate set-major arrays carved from one 64 B-aligned
+ * block: an 8-way set's tags fill one host cache line, and a cache
+ * costs one allocation however many ways it has.
  */
 
 #ifndef CEREAL_MEM_CACHE_HH
@@ -52,6 +59,10 @@ struct CacheAccessResult
 class Cache
 {
   public:
+    /**
+     * Panics unless the line size and the set count are powers of two
+     * and there are at most 64 ways.
+     */
     explicit Cache(const CacheConfig &cfg);
 
     const CacheConfig &config() const { return cfg_; }
@@ -85,22 +96,25 @@ class Cache
     }
 
   private:
-    struct Line
+    /** Index of @p line's set's first way in the tag and stamp arrays. */
+    std::size_t
+    setWays(Addr line) const
     {
-        Addr tag = kBadAddr;
-        bool valid = false;
-        bool dirty = false;
-        /** LRU stamp: larger is more recent. */
-        std::uint64_t lastUse = 0;
-    };
-
-    Addr lineAddr(Addr addr) const { return roundDown(addr, cfg_.lineBytes); }
-    std::size_t setIndex(Addr line_addr) const;
-    Addr tagOf(Addr line_addr) const;
+        return static_cast<std::size_t>(line & setMask_) * cfg_.ways;
+    }
 
     CacheConfig cfg_;
-    std::size_t numSets_;
-    std::vector<Line> lines_; // numSets_ * ways, set-major
+    unsigned lineShift_;
+    Addr setMask_;
+    /**
+     * At tagsAt_, the line number each way holds (kBadAddr when
+     * invalid); at stampsAt_, each way's LRU stamp (larger is more
+     * recent); at dirtyAt_, one dirty-way bit mask per set.
+     */
+    std::vector<std::uint64_t> block_;
+    std::size_t tagsAt_;
+    std::size_t stampsAt_;
+    std::size_t dirtyAt_;
     std::uint64_t clock_ = 0;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;

@@ -6,8 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "mem/cache.hh"
 #include "mem/dram.hh"
+#include "sim/rng.hh"
 
 namespace cereal {
 namespace {
@@ -194,6 +198,97 @@ TEST(CacheTest, GeometryConfigsValid)
     EXPECT_EQ(l1.config().sizeBytes, 32u * 1024);
     EXPECT_EQ(l2.config().sizeBytes, 1024u * 1024);
     EXPECT_EQ(l3.config().sizeBytes, 11u * 1024 * 1024);
+}
+
+TEST(CacheTest, NonPowerOfTwoSetCountPanics)
+{
+    // 3 sets of 2 ways, 64 B lines.
+    EXPECT_DEATH(Cache(CacheConfig{3 * 2 * 64, 2, 64, 1}), "not 2\\^n");
+}
+
+/**
+ * Reference LRU cache: each set is a list of (line, dirty) in recency
+ * order, most recent first, with no way positions at all.
+ */
+class RefLruCache
+{
+  public:
+    explicit RefLruCache(const CacheConfig &cfg)
+        : cfg_(cfg), sets_(cfg.sizeBytes / (cfg.lineBytes * cfg.ways))
+    {
+    }
+
+    CacheAccessResult
+    access(Addr addr, bool write)
+    {
+        const Addr line = addr / cfg_.lineBytes;
+        auto &set = sets_[line % sets_.size()];
+        auto it = std::find_if(set.begin(), set.end(), [line](const Way &w) {
+            return w.line == line;
+        });
+        if (it != set.end()) {
+            Way hit{line, it->dirty || write};
+            set.erase(it);
+            set.insert(set.begin(), hit);
+            return {true, false, kBadAddr};
+        }
+        CacheAccessResult res{false, false, kBadAddr};
+        if (set.size() == cfg_.ways) {
+            if (set.back().dirty) {
+                res.writeback = true;
+                res.victimAddr = set.back().line * cfg_.lineBytes;
+            }
+            set.pop_back();
+        }
+        set.insert(set.begin(), Way{line, write});
+        return res;
+    }
+
+  private:
+    struct Way
+    {
+        Addr line;
+        bool dirty;
+    };
+
+    CacheConfig cfg_;
+    std::vector<std::vector<Way>> sets_;
+};
+
+TEST(CacheTest, MatchesReferenceLruOnRandomStreams)
+{
+    const CacheConfig geometries[] = {
+        {256, 2, 64, 1},            // 2 sets, 2 ways
+        {4096, 1, 64, 1},           // direct mapped
+        {8192, 4, 32, 1},           // 32 B lines
+        {16 * 11 * 64, 11, 64, 1},  // 11 ways, as the L3
+        CacheConfig::l1(),
+    };
+    std::uint64_t seed = 7;
+    for (const CacheConfig &cfg : geometries) {
+        Cache dut(cfg);
+        RefLruCache ref(cfg);
+        Rng rng(seed++);
+        // A footprint of 4x the capacity gives both hits and evictions.
+        const Addr span = 4 * cfg.sizeBytes;
+        std::uint64_t hits = 0;
+        std::uint64_t writebacks = 0;
+        for (int i = 0; i < 50000; ++i) {
+            const Addr addr = 0x40000000 + rng.below(span);
+            const bool write = rng.below(4) == 0;
+            const CacheAccessResult got = dut.access(addr, write);
+            const CacheAccessResult want = ref.access(addr, write);
+            ASSERT_EQ(got.hit, want.hit) << "access " << i;
+            ASSERT_EQ(got.writeback, want.writeback) << "access " << i;
+            ASSERT_EQ(got.victimAddr, want.victimAddr) << "access " << i;
+            hits += got.hit;
+            writebacks += got.writeback;
+        }
+        EXPECT_EQ(dut.hits(), hits);
+        EXPECT_EQ(dut.misses(), 50000 - hits);
+        EXPECT_GT(hits, 0u) << cfg.sizeBytes << " B, " << cfg.ways;
+        EXPECT_GT(writebacks, 0u) << cfg.sizeBytes << " B, " << cfg.ways;
+    }
 }
 
 } // namespace
