@@ -4,16 +4,14 @@
  * and DRAM bursts) the simulator itself retires per wall-clock second.
  *
  * This is the one bench whose subject is the simulator, not the
- * modeled hardware. Four measured points:
+ * modeled hardware. Three measured points:
  *
  *  - event-kernel: the raw EventQueue dispatch loop — a self-
  *    rescheduling event chain with fan-out, events/second.
  *  - dram-stream: Dram::accessRange() streaming over a large span on
  *    the batched (non-observing) fast path, bursts/second.
- *  - cluster-serve-cycle / cluster-serve-fast: the full cluster
- *    serving experiment in cycle-accurate vs fast-forward mode,
- *    sim-ticks/second, with the fast/cycle wall-clock speedup in the
- *    summary.
+ *  - cluster-serve: the full cluster serving experiment,
+ *    sim-ticks/second.
  *
  * Wall-clock rates jitter run to run, so this bench is *not* part of
  * the json_determinism gates and its baseline is compared with
@@ -125,7 +123,7 @@ main(int argc, char **argv)
         "allocation overhaul must hold its measured speed");
 
     runner::SweepRunner sweep("sim_speed");
-    Row kernel, dram, cycle, fast;
+    Row kernel, dram, serve;
 
     kernel.name = "event-kernel";
     sweep.add(kernel.name, [&kernel](json::Writer &w) {
@@ -172,60 +170,46 @@ main(int argc, char **argv)
         w.kv("bursts_per_sec", dram.perSec);
     });
 
-    auto addServe = [&sweep, &opts](Row &r, SimMode mode) {
-        r.name = std::string("cluster-serve-") + simModeName(mode);
-        sweep.add(r.name, [&r, &opts, mode](json::Writer &w) {
-            ClusterConfig cfg;
-            cfg.nodes = kNodes;
-            cfg.backend = Backend::Java;
-            cfg.scale = opts.scale;
-            cfg.mode = mode;
-            ClusterSim sim(cfg);
-            // Profile measurement happens in the ctor, outside the
-            // timed region: this point times the event-driven run.
-            ServingResult res;
-            r.wallSeconds = timeLoop(
-                [&] {
-                    res = sim.runServing(kServeLoadPct / 100.0,
-                                         kRequestsPerNode);
-                },
-                r.repeats);
-            r.units = static_cast<std::uint64_t>(
-                res.durationSeconds *
-                static_cast<double>(kTicksPerSecond));
-            r.perSec = static_cast<double>(r.units) *
-                       static_cast<double>(r.repeats) / r.wallSeconds;
-            w.kv("sim_ticks", r.units);
-            w.kv("requests", res.requests);
-            w.kv("completed", res.completed);
-            w.kv("repeats", r.repeats);
-            w.kv("wall_seconds", r.wallSeconds);
-            w.kv("sim_ticks_per_sec", r.perSec);
-        });
-    };
-    addServe(cycle, SimMode::CycleAccurate);
-    addServe(fast, SimMode::FastForward);
+    serve.name = "cluster-serve";
+    sweep.add(serve.name, [&serve, &opts](json::Writer &w) {
+        ClusterConfig cfg;
+        cfg.nodes = kNodes;
+        cfg.backend = Backend::Java;
+        cfg.scale = opts.scale;
+        ClusterSim sim(cfg);
+        // Profile measurement happens in the ctor, outside the timed
+        // region: this point times the event-driven run.
+        ServingResult res;
+        serve.wallSeconds = timeLoop(
+            [&] {
+                res = sim.runServing(kServeLoadPct / 100.0,
+                                     kRequestsPerNode);
+            },
+            serve.repeats);
+        serve.units = static_cast<std::uint64_t>(
+            res.durationSeconds * static_cast<double>(kTicksPerSecond));
+        serve.perSec = static_cast<double>(serve.units) *
+                       static_cast<double>(serve.repeats) /
+                       serve.wallSeconds;
+        w.kv("sim_ticks", serve.units);
+        w.kv("requests", res.requests);
+        w.kv("completed", res.completed);
+        w.kv("repeats", serve.repeats);
+        w.kv("wall_seconds", serve.wallSeconds);
+        w.kv("sim_ticks_per_sec", serve.perSec);
+    });
 
     sweep.setSummary([&](json::Writer &w) {
-        // Wall-per-iteration ratio: how much faster fast-forward
-        // retires the same simulated interval.
-        const double cycle_per_run =
-            cycle.wallSeconds / static_cast<double>(cycle.repeats);
-        const double fast_per_run =
-            fast.wallSeconds / static_cast<double>(fast.repeats);
-        w.kv("fast_speedup_vs_cycle",
-             fast_per_run > 0 ? cycle_per_run / fast_per_run : 0.0);
         w.kv("event_kernel_events_per_sec", kernel.perSec);
         w.kv("dram_bursts_per_sec", dram.perSec);
-        w.kv("cycle_sim_ticks_per_sec", cycle.perSec);
-        w.kv("fast_sim_ticks_per_sec", fast.perSec);
+        w.kv("cluster_sim_ticks_per_sec", serve.perSec);
     });
 
     bench::runSweep(sweep, opts);
 
     std::printf("%-20s | %14s %8s %12s %14s\n", "point", "units",
                 "repeats", "wall(s)", "units/sec");
-    for (const Row *r : {&kernel, &dram, &cycle, &fast}) {
+    for (const Row *r : {&kernel, &dram, &serve}) {
         std::printf("%-20s | %14llu %8llu %12.4f %14.3e\n",
                     r->name.c_str(),
                     static_cast<unsigned long long>(r->units),

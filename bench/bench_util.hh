@@ -48,7 +48,6 @@
 
 #include "runner/sweep_runner.hh"
 #include "sim/logging.hh"
-#include "sim/sim_mode.hh"
 
 namespace cereal {
 namespace bench {
@@ -71,16 +70,10 @@ class Options
     /** Metrics sampling interval, ticks (0 = recorder default). */
     Tick metricsInterval = 0;
     /**
-     * Simulation fidelity (--sim-mode cycle|fast|sampled). Fast and
-     * sampled modes drop observability, so combining them with
-     * --trace/--metrics is fatal rather than silently lossy.
-     */
-    SimMode simMode = SimMode::CycleAccurate;
-    /**
      * Head-based request-trace sampling rate in (0, 1] (--trace-sample;
      * default: every request). Shared by the request-trace layer and
      * the per-request Chrome spans; the decision is a pure seeded hash
-     * of the trace id, so it is valid in every sim mode — request
+     * of the trace id, independent of --trace/--metrics — request
      * traces are reported stats, not observability. Note that sampled
      * frames carry the 16-byte trace-context extension on the wire, so
      * changing the rate shifts simulated wire timing slightly (the
@@ -176,17 +169,10 @@ class Options
                              opts.traceSample > 1,
                          "--trace-sample rate must be in (0, 1], got"
                          " '%s'", argv[i]);
-            } else if (std::strcmp(arg, "--sim-mode") == 0) {
-                fatal_if(i + 1 >= argc,
-                         "--sim-mode needs cycle, fast, or sampled");
-                fatal_if(!parseSimMode(argv[++i], opts.simMode),
-                         "unknown --sim-mode '%s' (cycle, fast, sampled)",
-                         argv[i]);
             } else if (std::strcmp(arg, "--help") == 0) {
                 std::printf("usage: %s [scale] [--threads N] [--json [path]]"
                             " [--trace <path>] [--metrics <path>"
-                            " [--metrics-interval N]] [--trace-sample R]"
-                            " [--sim-mode M]\n",
+                            " [--metrics-interval N]] [--trace-sample R]\n",
                             argv[0]);
                 std::printf("  scale          scale divisor (default %llu)\n",
                             static_cast<unsigned long long>(default_scale));
@@ -203,10 +189,6 @@ class Options
                             " ticks (default 1000000 = 1us)\n");
                 std::printf("  --trace-sample R  head-based request-trace"
                             " sampling rate in (0, 1] (default 1)\n");
-                std::printf("  --sim-mode M   cycle (default), fast"
-                            " (stat-preserving, observability off),\n"
-                            "                 or sampled (shortened serving"
-                            " runs, approximate percentiles)\n");
                 std::exit(0);
             } else if (isInteger(arg)) {
                 opts.scale = std::strtoull(arg, nullptr, 10);
@@ -220,10 +202,6 @@ class Options
         }
         argc = out;
         argv[argc] = nullptr;
-        fatal_if(!simModeObserves(opts.simMode) &&
-                     (!opts.tracePath.empty() || !opts.metricsPath.empty()),
-                 "--sim-mode %s drops trace/metrics; run cycle-accurate"
-                 " to observe", simModeName(opts.simMode));
         return opts;
     }
 };
@@ -245,9 +223,6 @@ banner(const char *experiment, const char *claim)
 inline void
 runSweep(runner::SweepRunner &sweep, const Options &opts)
 {
-    // Set before any sweep thread spawns: configs built inside the
-    // points snapshot the global via their default initializers.
-    setGlobalSimMode(opts.simMode);
     if (!opts.tracePath.empty()) {
         sweep.enableTrace();
     }

@@ -9,7 +9,8 @@ namespace cereal {
 
 CerealDevice::CerealDevice(Dram &dram, const AccelConfig &cfg)
     : cfg_(cfg), tlb_(cfg.tlbEntries, cfg.pageBytes, cfg.tlbMissPenalty),
-      suFreeAt_(cfg.numSU, 0), duFreeAt_(cfg.numDU, 0)
+      suFreeAt_(cfg.numSU, 0), duFreeAt_(cfg.numDU, 0),
+      metrics_(metrics::current(), "cereal.accel")
 {
     for (unsigned i = 0; i < cfg_.numSU; ++i) {
         suMai_.push_back(
@@ -20,12 +21,8 @@ CerealDevice::CerealDevice(Dram &dram, const AccelConfig &cfg)
             std::make_unique<Mai>(dram, cfg_.maiEntries, &tlb_));
     }
 
-    if (simModeObserves(cfg_.mode)) {
-        metrics_ = metrics::Group(metrics::current(), "cereal.accel");
-    }
     if (metrics_.enabled()) {
-        // Busy ticks accumulate monotonically (resetBusyStats() has no
-        // in-tree callers), so rate deltas stay non-negative.
+        // Busy ticks only accumulate, so rate deltas stay non-negative.
         metrics_.rate("su_busy_frac",
                       "mean busy fraction across serialization units",
                       [this] { return static_cast<double>(suBusy_); },
@@ -140,18 +137,11 @@ CerealDevice::allIdleTick() const
 }
 
 void
-CerealDevice::resetBusyStats()
-{
-    suBusy_ = 0;
-    duBusy_ = 0;
-}
-
-void
 CerealDevice::setTrace(const trace::TraceEmitter &em)
 {
     suTrace_.clear();
     duTrace_.clear();
-    if (!em.enabled() || !simModeObserves(cfg_.mode)) {
+    if (!em.enabled()) {
         return;
     }
     for (unsigned i = 0; i < cfg_.numSU; ++i) {

@@ -80,8 +80,6 @@ class CerealDevice
     /** Tick at which every unit is idle again. */
     Tick allIdleTick() const;
 
-    void resetBusyStats();
-
     /**
      * Attach a trace emitter. Each unit gets a child track ("su0",
      * "du0", ...) carrying one "serialize"/"deserialize" span per op

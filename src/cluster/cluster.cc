@@ -64,7 +64,6 @@ ClusterSim::ClusterSim(ClusterConfig cfg) : cfg_(std::move(cfg))
     nc.app = cfg_.app;
     nc.scale = cfg_.scale;
     nc.seed = cfg_.seed;
-    nc.mode = cfg_.mode;
     cost_ = BackendCostModel::measure(nc);
 
     // Hash the payload once; every frame this cluster sends carries the
@@ -100,14 +99,11 @@ ClusterSim::runShuffle() const
     const Tick deser = secondsToTicks(cost_.deserializeSeconds());
 
     EventQueue eq;
-    const bool observe = simModeObserves(cfg_.mode);
-    const auto em = observe ? trace::current() : trace::TraceEmitter();
+    const auto em = trace::current();
     std::vector<Worker> workers(n);
     for (std::uint32_t i = 0; i < n; ++i) {
         workers[i].eq = &eq;
-        if (observe) {
-            workers[i].initMetrics(i);
-        }
+        workers[i].initMetrics(i);
         if (em.enabled()) {
             workers[i].trace =
                 em.sub(("node" + std::to_string(i)).c_str());
@@ -200,14 +196,11 @@ ClusterSim::runServing(double utilization,
     const double lambda = utilization * nodeCapacityRps();
 
     EventQueue eq;
-    const bool observe = simModeObserves(cfg_.mode);
-    const auto em = observe ? trace::current() : trace::TraceEmitter();
+    const auto em = trace::current();
     std::vector<Worker> workers(n);
     for (std::uint32_t i = 0; i < n; ++i) {
         workers[i].eq = &eq;
-        if (observe) {
-            workers[i].initMetrics(i);
-        }
+        workers[i].initMetrics(i);
         if (em.enabled()) {
             workers[i].trace =
                 em.sub(("node" + std::to_string(i)).c_str());
@@ -240,24 +233,16 @@ ClusterSim::runServing(double utilization,
     });
     fabric.setTrace(em.sub("fabric"));
 
-    // Sampled mode simulates only the first quarter (rounded up) of
-    // each node's arrival process. The sample is a prefix of the same
-    // per-node Poisson draw, so its arrivals coincide with the full
-    // run's early arrivals and the queueing dynamics stay faithful.
-    const std::uint64_t sim_rpn =
-        cfg_.mode == SimMode::Sampled ? (requests_per_node + 3) / 4
-                                      : requests_per_node;
-
-    latency.reserve(static_cast<std::size_t>(n) * sim_rpn);
-    arrival.reserve(static_cast<std::size_t>(n) * sim_rpn);
-    eq.reserve(static_cast<std::size_t>(n) * sim_rpn + 16);
+    latency.reserve(static_cast<std::size_t>(n) * requests_per_node);
+    arrival.reserve(static_cast<std::size_t>(n) * requests_per_node);
+    eq.reserve(static_cast<std::size_t>(n) * requests_per_node + 16);
 
     // Open loop: pre-draw every node's Poisson arrival process and the
     // uniform peer destinations from the per-node seeded Rng.
     for (std::uint32_t origin = 0; origin < n; ++origin) {
         Rng rng(cfg_.seed * 0x51ed2701ULL + origin);
         double t = 0;
-        for (std::uint64_t k = 0; k < sim_rpn; ++k) {
+        for (std::uint64_t k = 0; k < requests_per_node; ++k) {
             t += -std::log(1.0 - rng.uniform()) / lambda;
             std::uint32_t dst =
                 static_cast<std::uint32_t>(rng.below(n - 1));
@@ -300,7 +285,7 @@ ClusterSim::runServing(double utilization,
 
     ServingResult out;
     out.offeredRps = lambda * static_cast<double>(n);
-    out.requests = static_cast<std::uint64_t>(n) * sim_rpn;
+    out.requests = static_cast<std::uint64_t>(n) * requests_per_node;
     out.completed = completed;
     out.durationSeconds = ticksToSeconds(last_done);
     out.achievedRps = out.durationSeconds > 0

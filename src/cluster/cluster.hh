@@ -37,7 +37,6 @@
 #include "cluster/fabric.hh"
 #include "cluster/node.hh"
 #include "sim/json.hh"
-#include "sim/sim_mode.hh"
 #include "sim/stats.hh"
 
 namespace cereal {
@@ -53,13 +52,6 @@ struct ClusterConfig
     /** Scale divisor for the per-partition object count. */
     std::uint64_t scale = 64;
     std::uint64_t seed = 1;
-    /**
-     * Fidelity mode (defaults to the ambient global). FastForward
-     * preserves every reported stat byte-identically with
-     * observability off; Sampled additionally simulates only a prefix
-     * of each serving run's arrivals (see runServing()).
-     */
-    SimMode mode = globalSimMode();
     NetConfig net;
 };
 
@@ -155,11 +147,6 @@ class ClusterSim
      * @param utilization offered load as a fraction of
      *        nodeCapacityRps() (must be > 0; stable below 1)
      * @param requests_per_node arrivals generated per node
-     *
-     * In Sampled mode only the first quarter (rounded up) of each
-     * node's arrival process is simulated; the reported request count
-     * reflects the sample and percentiles are estimates whose error
-     * the differential suite bounds.
      */
     ServingResult runServing(double utilization,
                              std::uint64_t requests_per_node = 200) const;

@@ -126,14 +126,10 @@ profileNodeUncached(const NodeConfig &cfg)
     NodeProfile out;
     auto ser = serde::makeSerializer(name, &reg);
 
-    CoreConfig cc;
-    cc.mode = cfg.mode;
-
+    const CoreConfig cc;
     workloads::SdMeasurement m;
     if (info->accelerated) {
-        AccelConfig ac;
-        ac.mode = cfg.mode;
-        m = workloads::measureCereal(heap, root, ac);
+        m = workloads::measureCereal(heap, root);
     } else {
         m = workloads::measureSoftware(*ser, heap, root, cc);
     }
@@ -192,31 +188,16 @@ profileNode(const NodeConfig &cfg)
         return profileNodeUncached(cfg);
     }
 
-    // Sweep warm-up measures under FastForward by default: the
-    // cycle-vs-fast equivalence contract (test_sim_speed pins it at
-    // the measureSoftware/measureCereal level) makes the profiles
-    // byte-identical, so a cycle-accurate caller loses nothing and the
-    // cycle/fast cache entries collapse into one. Sampled keeps its
-    // own key: the differential suite compares it against full runs.
-    NodeConfig eff = cfg;
-    if (eff.mode == SimMode::CycleAccurate) {
-        eff.mode = SimMode::FastForward;
-    }
-
     // The measurement is a pure function of the config, so identical
     // sweep points (a shuffle point and three serving points share one
     // backend config in bench_cluster_shuffle) reuse one measurement.
-    // Keyed per mode: the differential suite must compare profiles
-    // measured under each mode, not one cached under another.
-    std::string key = eff.app;
+    std::string key = cfg.app;
     key += '|';
-    key += std::to_string(backendFormatId(eff.backend));
+    key += std::to_string(backendFormatId(cfg.backend));
     key += '|';
-    key += std::to_string(eff.scale);
+    key += std::to_string(cfg.scale);
     key += '|';
-    key += std::to_string(eff.seed);
-    key += '|';
-    key += simModeName(eff.mode);
+    key += std::to_string(cfg.seed);
 
     static std::mutex mu;
     static std::unordered_map<std::string, NodeProfile> cache;
@@ -228,7 +209,7 @@ profileNode(const NodeConfig &cfg)
             return it->second;
         }
     }
-    NodeProfile fresh = profileNodeUncached(eff);
+    NodeProfile fresh = profileNodeUncached(cfg);
     {
         std::lock_guard<std::mutex> lock(mu);
         cache.emplace(key, fresh);

@@ -23,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/sim_mode.hh"
 
 namespace cereal {
 namespace cluster {
@@ -74,8 +73,6 @@ struct NodeConfig
     /** Scale divisor for the per-partition object count. */
     std::uint64_t scale = 64;
     std::uint64_t seed = 1;
-    /** Fidelity mode forwarded into the timing models. */
-    SimMode mode = globalSimMode();
 };
 
 /**

@@ -105,54 +105,46 @@ runServingFrontend(const ClusterSim &sim, const ServingConfig &cfg)
     const double flashEnd =
         flash ? (flash->start + flash->duration) * horizon : 0;
 
-    // Sampled mode simulates a prefix of each node's stream (the
-    // runServing() convention); the generator's draw is unchanged, so
-    // the sampled arrivals coincide with the full run's early ones.
-    const std::uint64_t sim_rpn = cc.mode == SimMode::Sampled
-        ? (cfg.requestsPerNode + 3) / 4
-        : cfg.requestsPerNode;
-    const std::uint64_t total = static_cast<std::uint64_t>(n) * sim_rpn;
+    const std::uint64_t rpn = cfg.requestsPerNode;
+    const std::uint64_t total = static_cast<std::uint64_t>(n) * rpn;
 
     EventQueue eq;
-    const bool observe = simModeObserves(cc.mode);
-    const auto em = observe ? trace::current() : trace::TraceEmitter();
+    const auto em = trace::current();
     std::vector<Worker> workers(n);
     std::vector<NodeCtl> ctl(n);
     CreditManager credits(n, cfg.flow);
     for (std::uint32_t i = 0; i < n; ++i) {
         workers[i].eq = &eq;
         ctl[i].stalled.resize(n);
-        if (observe) {
-            workers[i].initMetrics(i);
-            ctl[i].metrics = metrics::Group(
-                metrics::current(), "serving.n" + std::to_string(i));
-            if (ctl[i].metrics.enabled()) {
-                NodeCtl *c = &ctl[i];
-                ctl[i].metrics.gauge(
-                    "admission_occupancy",
-                    "requests admitted but not yet on the wire",
-                    [c](Tick) {
-                        return static_cast<double>(c->occupancy);
-                    });
-                ctl[i].metrics.gauge(
-                    "stalled_frames",
-                    "encoded frames parked awaiting credits",
-                    [c](Tick) {
-                        return static_cast<double>(c->stalledCount);
-                    });
-                ctl[i].metrics.gauge(
-                    "credits_avail",
-                    "send credits available across peers",
-                    [&credits, i, n](Tick) {
-                        double sum = 0;
-                        for (std::uint32_t d = 0; d < n; ++d) {
-                            if (d != i) {
-                                sum += credits.available(i, d);
-                            }
+        workers[i].initMetrics(i);
+        ctl[i].metrics = metrics::Group(
+            metrics::current(), "serving.n" + std::to_string(i));
+        if (ctl[i].metrics.enabled()) {
+            NodeCtl *c = &ctl[i];
+            ctl[i].metrics.gauge(
+                "admission_occupancy",
+                "requests admitted but not yet on the wire",
+                [c](Tick) {
+                    return static_cast<double>(c->occupancy);
+                });
+            ctl[i].metrics.gauge(
+                "stalled_frames",
+                "encoded frames parked awaiting credits",
+                [c](Tick) {
+                    return static_cast<double>(c->stalledCount);
+                });
+            ctl[i].metrics.gauge(
+                "credits_avail",
+                "send credits available across peers",
+                [&credits, i, n](Tick) {
+                    double sum = 0;
+                    for (std::uint32_t d = 0; d < n; ++d) {
+                        if (d != i) {
+                            sum += credits.available(i, d);
                         }
-                        return sum;
-                    });
-            }
+                    }
+                    return sum;
+                });
         }
         if (em.enabled()) {
             workers[i].trace =
@@ -160,7 +152,7 @@ runServingFrontend(const ClusterSim &sim, const ServingConfig &cfg)
         }
     }
 
-    // Per-request state, indexed origin * sim_rpn + k.
+    // Per-request state, indexed origin * rpn + k.
     std::vector<Tick> arrivalTick(total, 0);
     std::vector<double> arrivalSec(total, 0);
     std::vector<std::uint32_t> reqDst(total, 0);
@@ -168,9 +160,9 @@ runServingFrontend(const ClusterSim &sim, const ServingConfig &cfg)
 
     // Request tracing: trace id = idx + 1 (ids are nonzero), with the
     // causal stamps of sampled requests kept per index. The layer is
-    // deliberately NOT gated on `observe` — timelines feed the
-    // *reported* RequestTraceReport, so they must be byte-identical in
-    // fast-forward mode too.
+    // deliberately independent of the trace/metrics sinks — timelines
+    // feed the *reported* RequestTraceReport, so they must not change
+    // when a run is observed.
     trace::RequestTraceRecorder reqTrace(cfg.reqTrace);
     const auto traceIdOf = [](std::uint32_t idx) {
         return static_cast<std::uint64_t>(idx) + 1;
@@ -187,9 +179,9 @@ runServingFrontend(const ClusterSim &sim, const ServingConfig &cfg)
     Tick last_flash_done = 0;
     sim::BufferPool pool;
 
-    const auto wireId = [sim_rpn](std::uint32_t idx) {
-        return static_cast<std::uint32_t>(idx / sim_rpn) * 0x10000u +
-               static_cast<std::uint32_t>(idx % sim_rpn);
+    const auto wireId = [rpn](std::uint32_t idx) {
+        return static_cast<std::uint32_t>(idx / rpn) * 0x10000u +
+               static_cast<std::uint32_t>(idx % rpn);
     };
 
     // Stamp the frame fields shared by the immediate and unparked send
@@ -226,7 +218,7 @@ runServingFrontend(const ClusterSim &sim, const ServingConfig &cfg)
                  "fabric delivered a corrupt frame (payload digest"
                  " mismatch on request %u)", info.partition);
         const std::uint32_t idx =
-            (info.partition >> 16) * static_cast<std::uint32_t>(sim_rpn) +
+            (info.partition >> 16) * static_cast<std::uint32_t>(rpn) +
             (info.partition & 0xffffu);
         const std::uint32_t src = info.srcNode;
         // Context propagation check: a traced frame must carry exactly
@@ -360,10 +352,10 @@ runServingFrontend(const ClusterSim &sim, const ServingConfig &cfg)
     eq.reserve(total + 16);
     for (std::uint32_t origin = 0; origin < n; ++origin) {
         const auto arrivals = gen.arrivalsFor(origin);
-        for (std::uint64_t k = 0; k < sim_rpn; ++k) {
+        for (std::uint64_t k = 0; k < rpn; ++k) {
             const load::Arrival &a = arrivals[k];
             const std::uint32_t idx = static_cast<std::uint32_t>(
-                origin * sim_rpn + k);
+                origin * rpn + k);
             arrivalSec[idx] = a.t;
             arrivalTick[idx] = secondsToTicks(a.t);
             reqDst[idx] = (cfg.fixedDst >= 0 &&
@@ -464,7 +456,7 @@ runServingFrontend(const ClusterSim &sim, const ServingConfig &cfg)
     out.creditsConserved = credits.issued() == credits.returned() &&
                            credits.allWindowsFull();
     out.reqTrace = reqTrace.report(latency);
-    if (observe && metrics::current() != nullptr) {
+    if (metrics::current() != nullptr) {
         metrics::current()->recordHistogram(
             "serving.latency_seconds",
             "end-to-end request latency, log-bucketed", latency);

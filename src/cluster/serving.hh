@@ -118,7 +118,7 @@ struct ServingConfig
      * (head-based, seeded) carry it across the fabric in the frame's
      * trace extension and leave a conservation-checked timeline in the
      * result's RequestTraceReport. Part of the reported stats — NOT
-     * gated on sim mode, byte-identical cycle vs fast.
+     * gated on trace/metrics sinks, byte-identical either way.
      */
     trace::RequestTraceConfig reqTrace;
 };
@@ -165,8 +165,7 @@ struct ServingFrontendResult
 
 /**
  * Run the serving front-end experiment on @p sim. Deterministic in
- * (sim config, cfg); in Sampled mode only the first quarter of each
- * node's arrival stream is simulated (the runServing() convention).
+ * (sim config, cfg).
  */
 ServingFrontendResult runServingFrontend(const ClusterSim &sim,
                                          const ServingConfig &cfg);

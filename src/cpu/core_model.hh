@@ -35,7 +35,6 @@
 #include "mem/dram.hh"
 #include "metrics/metrics.hh"
 #include "serde/sink.hh"
-#include "sim/sim_mode.hh"
 #include "sim/types.hh"
 #include "trace/trace.hh"
 
@@ -63,13 +62,6 @@ struct CoreConfig
     unsigned missWindow = 10;
     /** Cycles to issue a memory instruction (AGU + LSQ slot). */
     double issueCycles = 0.5;
-
-    /**
-     * Fidelity mode (defaults to the ambient global). Non-observing
-     * modes skip metrics registration, trace spans, and stall
-     * attribution; every CoreRunStats field stays byte-identical.
-     */
-    SimMode mode = globalSimMode();
 
     CacheConfig l1 = CacheConfig::l1();
     CacheConfig l2 = CacheConfig::l2();
@@ -148,8 +140,6 @@ class CoreModel : public MemSink, public trace::TraceClock
 
     Dram *dram_;
     CoreConfig cfg_;
-    /** Cached simModeObserves(cfg_.mode): hot-path branch condition. */
-    bool observe_;
     Cache l1_;
     Cache l2_;
     Cache l3_;

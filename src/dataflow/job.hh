@@ -23,7 +23,8 @@
  *
  *  - Determinism: all functional results (outputs, checksums,
  *    invariants) are pure functions of the config, byte-identical
- *    across sim modes, thread counts, and serializer backends.
+ *    with or without observation, across thread counts, and across
+ *    serializer backends.
  *
  * Jobs: wordcount (reduce-by-key with a spilling pre-combine),
  * terasort (sample sort: splitter sampling stage, then sorted runs
@@ -40,7 +41,6 @@
 #include "cluster/fabric.hh"
 #include "dataflow/operators.hh"
 #include "dataflow/partitioner.hh"
-#include "sim/sim_mode.hh"
 #include "trace/critical_path.hh"
 
 namespace cereal {
@@ -78,7 +78,6 @@ struct DataflowConfig
     unsigned stragglerNode = 0;
     /** PageRank iterations. */
     unsigned iterations = 3;
-    SimMode mode = globalSimMode();
     NetConfig net;
     /** Scale of the profiled yardstick partition (see cost model). */
     std::uint64_t profileScale = 64;

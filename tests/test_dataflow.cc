@@ -17,6 +17,8 @@
 #include "dataflow/record.hh"
 #include "serde/registry.hh"
 
+#include "observed.hh"
+
 namespace cereal {
 namespace dataflow {
 namespace {
@@ -324,16 +326,14 @@ INSTANTIATE_TEST_SUITE_P(AllJobs, DataflowJobs,
                          ::testing::Values("wordcount", "terasort",
                                            "pagerank"));
 
-TEST(Dataflow, FastForwardMatchesCycleAccurate)
+TEST(Dataflow, ObservedRunMatchesUnobserved)
 {
-    auto cfg = smallConfig("wordcount", "kryo");
-    cfg.mode = SimMode::CycleAccurate;
-    const auto cycle = runDataflow(cfg);
-    cfg.mode = SimMode::FastForward;
-    const auto fast = runDataflow(cfg);
-    EXPECT_EQ(cycle.resultChecksum, fast.resultChecksum);
-    EXPECT_DOUBLE_EQ(cycle.completionSeconds, fast.completionSeconds);
-    EXPECT_EQ(cycle.wireBytes, fast.wireBytes);
+    const auto cfg = smallConfig("wordcount", "kryo");
+    const auto plain = runDataflow(cfg);
+    const auto seen = observed([&] { return runDataflow(cfg); });
+    EXPECT_EQ(plain.resultChecksum, seen.resultChecksum);
+    EXPECT_DOUBLE_EQ(plain.completionSeconds, seen.completionSeconds);
+    EXPECT_EQ(plain.wireBytes, seen.wireBytes);
 }
 
 TEST(Dataflow, RunsAreDeterministic)

@@ -26,6 +26,8 @@
 #include "trace/critical_path.hh"
 #include "trace/request_trace.hh"
 
+#include "observed.hh"
+
 namespace cereal {
 namespace {
 
@@ -380,18 +382,17 @@ reportJson(const trace::RequestTraceReport &rt)
     return ss.str();
 }
 
-TEST(ServingTrace, ReportIsByteIdenticalCycleVsFastForward)
+TEST(ServingTrace, ReportIsByteIdenticalWhenObserved)
 {
     ServingConfig scfg = tracedServing(0.8);
     scfg.reqTrace.sampleRate = 0.5; // exercise the sampled path too
+    const auto run = [&] {
+        return runServingFrontend(ClusterSim(tinyCluster(Backend::Kryo)),
+                                  scfg);
+    };
 
-    ClusterConfig cy = tinyCluster(Backend::Kryo);
-    cy.mode = SimMode::CycleAccurate;
-    ClusterConfig ff = tinyCluster(Backend::Kryo);
-    ff.mode = SimMode::FastForward;
-
-    const auto a = runServingFrontend(ClusterSim(cy), scfg);
-    const auto b = runServingFrontend(ClusterSim(ff), scfg);
+    const auto a = run();
+    const auto b = observed(run);
     EXPECT_EQ(reportJson(a.reqTrace), reportJson(b.reqTrace));
     EXPECT_EQ(a.reqTrace.sampled, b.reqTrace.sampled);
     EXPECT_LT(a.reqTrace.sampled, a.reqTrace.requests);

@@ -12,12 +12,11 @@
  *  - Dram::accessRange batched fast path vs the per-burst access()
  *    loop: identical completion ticks, counters, latency accounting,
  *    and bank/bus state.
- *  - The fast-forward equivalence contract, differentially: every
- *    stat a cycle-accurate run reports must come back bit-identical
- *    from a FastForward run, at the harness level (measureSoftware /
- *    measureCereal) and the cluster level (runShuffle / runServing).
- *  - Sampled-mode serving: the shortened run's percentiles must stay
- *    within bounded error of the full cycle-accurate population.
+ *  - The observer effect, differentially: every stat an unobserved
+ *    run reports must come back bit-identical from a run with a trace
+ *    sink and a metrics recorder installed, at the harness level
+ *    (measureSoftware / measureCereal) and the cluster level
+ *    (runShuffle / runServing).
  */
 
 #include <gtest/gtest.h>
@@ -35,9 +34,10 @@
 #include "serde/java_serde.hh"
 #include "sim/arena.hh"
 #include "sim/event_queue.hh"
-#include "sim/sim_mode.hh"
 #include "workloads/harness.hh"
 #include "workloads/micro.hh"
+
+#include "observed.hh"
 
 // ------------------------------------------------- allocation counter
 //
@@ -378,12 +378,12 @@ TEST(DramBatch, AccessRangeMatchesPerBurstLoopExactly)
     EXPECT_EQ(ra.rowHit, rb.rowHit);
 }
 
-// --------------------------------------- fast-forward equivalence
+// ------------------------------------------------- observer effect
 
-class SimModeDiffTest : public ::testing::Test
+class ObserverEffectTest : public ::testing::Test
 {
   protected:
-    SimModeDiffTest() : micro(reg), src(reg)
+    ObserverEffectTest() : micro(reg), src(reg)
     {
         Rng rng(11);
         root = micro.buildTree(src, 2, 1023, rng);
@@ -415,26 +415,19 @@ expectSameMeasurement(const workloads::SdMeasurement &c,
     EXPECT_EQ(c.deserEnergyJ, f.deserEnergyJ);
 }
 
-TEST_F(SimModeDiffTest, SoftwareMeasurementIsModeInvariant)
+TEST_F(ObserverEffectTest, SoftwareMeasurementIgnoresSinks)
 {
     JavaSerializer java;
-    CoreConfig cycle;
-    cycle.mode = SimMode::CycleAccurate;
-    CoreConfig fast;
-    fast.mode = SimMode::FastForward;
     expectSameMeasurement(
-        workloads::measureSoftware(java, src, root, cycle),
-        workloads::measureSoftware(java, src, root, fast));
+        workloads::measureSoftware(java, src, root),
+        observed([&] { return workloads::measureSoftware(java, src, root); }));
 }
 
-TEST_F(SimModeDiffTest, CerealMeasurementIsModeInvariant)
+TEST_F(ObserverEffectTest, CerealMeasurementIgnoresSinks)
 {
-    AccelConfig cycle;
-    cycle.mode = SimMode::CycleAccurate;
-    AccelConfig fast;
-    fast.mode = SimMode::FastForward;
-    expectSameMeasurement(workloads::measureCereal(src, root, cycle),
-                          workloads::measureCereal(src, root, fast));
+    expectSameMeasurement(
+        workloads::measureCereal(src, root),
+        observed([&] { return workloads::measureCereal(src, root); }));
 }
 
 void
@@ -451,23 +444,26 @@ expectSameLatency(const LatencySummary &c, const LatencySummary &f)
 }
 
 ClusterConfig
-clusterConfig(SimMode mode, Backend backend = Backend::Java)
+clusterConfig(Backend backend = Backend::Java)
 {
     ClusterConfig cfg;
     cfg.nodes = 4;
     cfg.backend = backend;
     cfg.scale = 256;
-    cfg.mode = mode;
     return cfg;
 }
+
+// ClusterModeDiff compares an unobserved run with an observed one. The
+// observed run builds its ClusterSim under the sinks too, so the node
+// profile is measured while observed rather than served from the
+// unobserved run's cache entry.
 
 TEST(ClusterModeDiff, ShuffleIsModeInvariant)
 {
     for (Backend b : {Backend::Java, Backend::Cereal}) {
-        ClusterSim cycle(clusterConfig(SimMode::CycleAccurate, b));
-        ClusterSim fast(clusterConfig(SimMode::FastForward, b));
-        const auto c = cycle.runShuffle();
-        const auto f = fast.runShuffle();
+        const auto c = ClusterSim(clusterConfig(b)).runShuffle();
+        const auto f = observed(
+            [&] { return ClusterSim(clusterConfig(b)).runShuffle(); });
         EXPECT_EQ(c.completionSeconds, f.completionSeconds);
         EXPECT_EQ(c.frames, f.frames);
         EXPECT_EQ(c.wireBytes, f.wireBytes);
@@ -479,45 +475,15 @@ TEST(ClusterModeDiff, ShuffleIsModeInvariant)
 
 TEST(ClusterModeDiff, ServingIsModeInvariant)
 {
-    ClusterSim cycle(clusterConfig(SimMode::CycleAccurate));
-    ClusterSim fast(clusterConfig(SimMode::FastForward));
-    const auto c = cycle.runServing(0.7, 64);
-    const auto f = fast.runServing(0.7, 64);
+    const auto c = ClusterSim(clusterConfig()).runServing(0.7, 64);
+    const auto f = observed(
+        [] { return ClusterSim(clusterConfig()).runServing(0.7, 64); });
     EXPECT_EQ(c.offeredRps, f.offeredRps);
     EXPECT_EQ(c.achievedRps, f.achievedRps);
     EXPECT_EQ(c.requests, f.requests);
     EXPECT_EQ(c.completed, f.completed);
     EXPECT_EQ(c.durationSeconds, f.durationSeconds);
     expectSameLatency(c.latency, f.latency);
-}
-
-TEST(ClusterModeDiff, SampledServingBoundsPercentileError)
-{
-    // Sampled mode simulates only the first quarter of each node's
-    // arrival process. The deterministic seed makes this a fixed
-    // comparison: the sampled percentiles must stay within 2x of the
-    // full population's, and the sample size must be the documented
-    // quarter (rounded up).
-    ClusterSim cycle(clusterConfig(SimMode::CycleAccurate));
-    ClusterSim sampled(clusterConfig(SimMode::Sampled));
-    const auto full = cycle.runServing(0.7, 64);
-    const auto samp = sampled.runServing(0.7, 64);
-
-    EXPECT_EQ(samp.requests, 4u * ((64 + 3) / 4));
-    EXPECT_EQ(samp.completed, samp.requests);
-    EXPECT_GT(samp.achievedRps, 0.0);
-
-    for (auto pair : {std::pair<double, double>{full.latency.p50,
-                                               samp.latency.p50},
-                      {full.latency.p95, samp.latency.p95},
-                      {full.latency.p99, samp.latency.p99},
-                      {full.latency.mean, samp.latency.mean}}) {
-        ASSERT_GT(pair.first, 0.0);
-        ASSERT_GT(pair.second, 0.0);
-        const double ratio = pair.second / pair.first;
-        EXPECT_GT(ratio, 0.5) << "sampled percentile collapsed";
-        EXPECT_LT(ratio, 2.0) << "sampled percentile exploded";
-    }
 }
 
 } // namespace
