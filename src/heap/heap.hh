@@ -148,6 +148,16 @@ class Heap
     /** True if [addr, addr+n) lies inside the allocated arena. */
     bool contains(Addr addr, Addr n = 1) const;
 
+    /**
+     * Read-only host view of [addr, addr+n), checked once for the whole
+     * range. Valid until the next allocation.
+     */
+    const std::uint8_t *
+    view(Addr addr, Addr n) const
+    {
+        return hostPtr(addr, n);
+    }
+
     // --- object-level helpers ----------------------------------------
 
     /** Class of the object at @p obj (via its klass pointer). */

@@ -1,34 +1,118 @@
 #include "heap/walker.hh"
 
-#include <unordered_map>
-#include <unordered_set>
+#include <algorithm>
+#include <cstring>
 
-#include "heap/object.hh"
+#include "sim/flat.hh"
 #include "sim/logging.hh"
 
 namespace cereal {
 
 namespace {
 
-/** Push the reference targets of @p obj onto @p out in traversal order. */
-void
-collectRefs(Heap &heap, Addr obj, std::vector<Addr> &out)
+/**
+ * One object with its class looked up and validated once. The walks
+ * read its fields or elements straight from the view instead of paying
+ * a klass lookup per field.
+ */
+struct Resolved
 {
-    ObjectView v(heap, obj);
-    const auto &d = v.klass();
+    const KlassDescriptor *klass;
+    /** Total size of the object. */
+    Addr bytes;
+    /** Element count of an array; field count of an instance. */
+    std::uint64_t count;
+    /**
+     * Host bytes of the elements (array) or of the fields, one 8 B slot
+     * each in declaration order (instance).
+     */
+    const std::uint8_t *body;
+};
+
+Resolved
+resolve(const Heap &heap, Addr obj)
+{
+    const KlassRegistry &reg = heap.registry();
+    const KlassId id = heap.klassOf(obj);
+    const KlassDescriptor &d = reg.klass(id);
     if (d.isArray()) {
-        if (d.elemType() == FieldType::Reference) {
-            const std::uint64_t n = v.length();
-            for (std::uint64_t i = 0; i < n; ++i) {
-                out.push_back(v.getRefElem(i));
+        const std::uint64_t n =
+            heap.load64(obj + Addr{reg.arrayLengthSlot()} * 8);
+        return {&d, Addr{reg.arraySlots(id, n)} * 8, n,
+                heap.view(obj + Addr{reg.arrayDataSlot()} * 8,
+                          n * fieldTypeBytes(d.elemType()))};
+    }
+    return {&d, Addr{reg.instanceSlots(id)} * 8, d.numFields(),
+            heap.view(obj + Addr{reg.fieldSlot(id, 0)} * 8,
+                      Addr{d.numFields()} * 8)};
+}
+
+/** The 8 B slot @p i of @p body. */
+std::uint64_t
+slot(const std::uint8_t *body, std::uint64_t i)
+{
+    std::uint64_t v;
+    std::memcpy(&v, body + i * 8, 8);
+    return v;
+}
+
+/** Push the reference targets of @p r onto @p out in traversal order. */
+void
+collectRefs(const Resolved &r, std::vector<Addr> &out)
+{
+    if (r.klass->isArray()) {
+        if (r.klass->elemType() == FieldType::Reference) {
+            for (std::uint64_t i = 0; i < r.count; ++i) {
+                out.push_back(slot(r.body, i));
             }
         }
         return;
     }
-    for (std::uint32_t fi : d.refFields()) {
-        out.push_back(v.getRef(fi));
+    for (std::uint32_t fi : r.klass->refFields()) {
+        out.push_back(slot(r.body, fi));
     }
 }
+
+/**
+ * Set of one heap's objects: one bit per 8 B slot of the arena, so it
+ * costs 1/64 of the heap's bytes and no hashing. It grows if the heap
+ * does (a walk's visitor may allocate).
+ */
+class ObjectSet
+{
+  public:
+    explicit ObjectSet(const Heap &heap)
+        : heap_(&heap), bits_((heap.usedBytes() / 8 + 63) / 64)
+    {
+    }
+
+    /** Add @p obj. @return true if it was not in the set. */
+    bool
+    insert(Addr obj)
+    {
+        panic_if(!heap_->contains(obj, 8), "object %#llx outside the heap",
+                 (unsigned long long)obj);
+        const Addr i = (obj - heap_->base()) / 8;
+        if (i / 64 >= bits_.size()) {
+            bits_.resize(i / 64 + 1);
+        }
+        const std::uint64_t bit = std::uint64_t{1} << (i % 64);
+        const bool fresh = !(bits_[i / 64] & bit);
+        bits_[i / 64] |= bit;
+        return fresh;
+    }
+
+    bool
+    contains(Addr obj) const
+    {
+        const Addr i = (obj - heap_->base()) / 8;
+        return i / 64 < bits_.size() && (bits_[i / 64] >> (i % 64)) & 1;
+    }
+
+  private:
+    const Heap *heap_;
+    std::vector<std::uint64_t> bits_;
+};
 
 } // namespace
 
@@ -38,7 +122,7 @@ GraphWalker::walk(Addr root, const std::function<void(Addr)> &visit) const
     if (root == 0) {
         return;
     }
-    std::unordered_set<Addr> seen;
+    ObjectSet seen(*heap_);
     // Explicit stack: object graphs (long lists) can be deep enough to
     // overflow the host call stack.
     std::vector<Addr> stack{root};
@@ -46,12 +130,12 @@ GraphWalker::walk(Addr root, const std::function<void(Addr)> &visit) const
     while (!stack.empty()) {
         Addr obj = stack.back();
         stack.pop_back();
-        if (obj == 0 || !seen.insert(obj).second) {
+        if (obj == 0 || !seen.insert(obj)) {
             continue;
         }
         visit(obj);
         refs.clear();
-        collectRefs(*heap_, obj, refs);
+        collectRefs(resolve(*heap_, obj), refs);
         // Push in reverse so the first declared reference is visited
         // first (proper DFS preorder).
         for (auto it = refs.rbegin(); it != refs.rend(); ++it) {
@@ -75,38 +159,41 @@ GraphWalker::stats(Addr root) const
     if (root == 0) {
         return gs;
     }
-    std::unordered_map<Addr, std::uint64_t> depth;
+    // An object's depth is fixed when it is first discovered and kept
+    // in `pending` until the object is visited.
+    ObjectSet visited(*heap_);
+    sim::AddrMap<std::uint64_t> pending;
+    pending.assign(root, 1);
     std::vector<Addr> stack{root};
-    depth[root] = 1;
-    std::unordered_set<Addr> seen;
     std::vector<Addr> refs;
     while (!stack.empty()) {
         Addr obj = stack.back();
         stack.pop_back();
-        if (!seen.insert(obj).second) {
+        if (!visited.insert(obj)) {
             continue;
         }
-        const std::uint64_t d = depth[obj];
+        const std::uint64_t d = *pending.find(obj);
+        pending.erase(obj);
         gs.maxDepth = std::max(gs.maxDepth, d);
         ++gs.objectCount;
-        gs.totalBytes += heap_->objectBytes(obj);
-        ObjectView v(*heap_, obj);
-        if (v.isArray()) {
+        const Resolved r = resolve(*heap_, obj);
+        gs.totalBytes += r.bytes;
+        if (r.klass->isArray()) {
             ++gs.arrayCount;
         }
         refs.clear();
-        collectRefs(*heap_, obj, refs);
-        for (Addr r : refs) {
-            if (r == 0) {
+        collectRefs(r, refs);
+        for (Addr ref : refs) {
+            if (ref == 0) {
                 ++gs.nullReferences;
                 continue;
             }
             ++gs.referenceEdges;
-            if (!seen.count(r)) {
-                if (!depth.count(r)) {
-                    depth[r] = d + 1;
+            if (!visited.contains(ref)) {
+                if (!pending.find(ref)) {
+                    pending.assign(ref, d + 1);
                 }
-                stack.push_back(r);
+                stack.push_back(ref);
             }
         }
     }
@@ -120,7 +207,7 @@ struct EqContext
 {
     Heap *ha;
     Heap *hb;
-    std::unordered_map<Addr, Addr> aToB;
+    sim::AddrMap<Addr> aToB;
     std::string *why;
     bool compareHash;
 
@@ -138,52 +225,71 @@ bool
 objectsMatch(EqContext &ctx, Addr a, Addr b,
              std::vector<std::pair<Addr, Addr>> &work)
 {
-    ObjectView va(*ctx.ha, a);
-    ObjectView vb(*ctx.hb, b);
+    const Resolved ra = resolve(*ctx.ha, a);
+    const Resolved rb = resolve(*ctx.hb, b);
+    const KlassDescriptor &da = *ra.klass;
+    const KlassDescriptor &db = *rb.klass;
 
-    const auto &da = va.klass();
-    const auto &db = vb.klass();
-    if (da.name() != db.name()) {
-        return ctx.fail(strfmt("class mismatch: %s vs %s @ %#llx/%#llx",
-                               da.name().c_str(), db.name().c_str(),
-                               (unsigned long long)a,
-                               (unsigned long long)b));
+    // One registry holds one descriptor per class. Heaps on two
+    // registries match classes by name, and the shapes must agree
+    // before the views below are read side by side.
+    if (&da != &db) {
+        if (da.name() != db.name()) {
+            return ctx.fail(strfmt("class mismatch: %s vs %s @ %#llx/%#llx",
+                                   da.name().c_str(), db.name().c_str(),
+                                   (unsigned long long)a,
+                                   (unsigned long long)b));
+        }
+        if (da.isArray() != db.isArray() ||
+            da.elemType() != db.elemType() ||
+            da.numFields() != db.numFields()) {
+            return ctx.fail(strfmt("class layout mismatch in %s",
+                                   da.name().c_str()));
+        }
     }
 
-    if (ctx.compareHash && va.identityHash() != vb.identityHash()) {
+    if (ctx.compareHash && markword::hash(ctx.ha->load64(a)) !=
+                               markword::hash(ctx.hb->load64(b))) {
         return ctx.fail(strfmt("identity hash mismatch in %s",
                                da.name().c_str()));
     }
 
     if (da.isArray()) {
-        if (va.length() != vb.length()) {
+        if (ra.count != rb.count) {
             return ctx.fail(strfmt("array length mismatch in %s: "
                                    "%llu vs %llu", da.name().c_str(),
-                                   (unsigned long long)va.length(),
-                                   (unsigned long long)vb.length()));
+                                   (unsigned long long)ra.count,
+                                   (unsigned long long)rb.count));
         }
-        const std::uint64_t n = va.length();
+        const std::uint64_t n = ra.count;
         if (da.elemType() == FieldType::Reference) {
             for (std::uint64_t i = 0; i < n; ++i) {
-                work.emplace_back(va.getRefElem(i), vb.getRefElem(i));
+                work.emplace_back(slot(ra.body, i), slot(rb.body, i));
             }
-        } else {
-            for (std::uint64_t i = 0; i < n; ++i) {
-                if (va.getElem(i) != vb.getElem(i)) {
-                    return ctx.fail(strfmt(
-                        "array element %llu mismatch in %s",
-                        (unsigned long long)i, da.name().c_str()));
-                }
+            return true;
+        }
+        const unsigned esz = fieldTypeBytes(da.elemType());
+        if (std::memcmp(ra.body, rb.body, n * esz) != 0) {
+            // The payloads differ somewhere: name the first element.
+            std::uint64_t i = 0;
+            while (std::memcmp(ra.body + i * esz, rb.body + i * esz,
+                               esz) == 0) {
+                ++i;
             }
+            return ctx.fail(strfmt("array element %llu mismatch in %s",
+                                   (unsigned long long)i,
+                                   da.name().c_str()));
         }
         return true;
     }
 
-    for (std::uint32_t i = 0; i < da.numFields(); ++i) {
+    for (std::uint32_t i = 0; i < ra.count; ++i) {
         const auto &f = da.fields()[i];
+        const std::uint64_t va = slot(ra.body, i);
+        const std::uint64_t vb = slot(rb.body, i);
         if (f.type == FieldType::Reference) {
-            work.emplace_back(va.getRef(i), vb.getRef(i));
-        } else if (va.getRaw(i) != vb.getRaw(i)) {
+            work.emplace_back(va, vb);
+        } else if (va != vb) {
             return ctx.fail(strfmt("field '%s' mismatch in %s",
                                    f.name.c_str(), da.name().c_str()));
         }
@@ -198,6 +304,7 @@ graphEquals(Heap &heap_a, Addr root_a, Heap &heap_b, Addr root_b,
             std::string *why, bool compare_identity_hash)
 {
     EqContext ctx{&heap_a, &heap_b, {}, why, compare_identity_hash};
+    ctx.aToB.reserve(heap_a.objectCount());
 
     std::vector<std::pair<Addr, Addr>> work{{root_a, root_b}};
     while (!work.empty()) {
@@ -209,16 +316,15 @@ graphEquals(Heap &heap_a, Addr root_a, Heap &heap_b, Addr root_b,
             }
             continue;
         }
-        auto it = ctx.aToB.find(a);
-        if (it != ctx.aToB.end()) {
+        if (const Addr *seen = ctx.aToB.find(a)) {
             // Aliasing structure must be preserved: a previously visited
             // object must map to the same counterpart.
-            if (it->second != b) {
+            if (*seen != b) {
                 return ctx.fail("sharing (aliasing) structure mismatch");
             }
             continue;
         }
-        ctx.aToB.emplace(a, b);
+        ctx.aToB.assign(a, b);
         if (!objectsMatch(ctx, a, b, work)) {
             return false;
         }

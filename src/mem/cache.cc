@@ -10,11 +10,11 @@ namespace cereal {
 
 Cache::Cache(const CacheConfig &cfg) : cfg_(cfg)
 {
-    // Line size >= 2 keeps every line number below kBadAddr.
-    panic_if(!isPowerOf2(cfg_.lineBytes) || cfg_.lineBytes < 2,
-             "line size must be 2^n bytes, n >= 1");
-    panic_if(cfg_.ways == 0 || cfg_.ways > 64,
-             "cache needs 1 to 64 ways, not %u", cfg_.ways);
+    // Line size >= 4 keeps every line number below 2^62, so a way word
+    // (line << 1) | dirty never reaches kBadAddr.
+    panic_if(!isPowerOf2(cfg_.lineBytes) || cfg_.lineBytes < 4,
+             "line size must be 2^n bytes, n >= 2");
+    panic_if(cfg_.ways == 0, "cache needs at least one way");
     const Addr num_sets = cfg_.sizeBytes / (cfg_.lineBytes * cfg_.ways);
     panic_if(num_sets == 0, "cache smaller than one set");
     panic_if(!isPowerOf2(num_sets), "cache set count %llu is not 2^n",
@@ -22,59 +22,40 @@ Cache::Cache(const CacheConfig &cfg) : cfg_(cfg)
     lineShift_ = static_cast<unsigned>(std::countr_zero(cfg_.lineBytes));
     setMask_ = num_sets - 1;
 
-    // Start the tags on a 64 B boundary (8 words).
-    const std::size_t ways = num_sets * cfg_.ways;
-    block_.resize(7 + 2 * ways + num_sets);
+    // Start the ways on a 64 B boundary (8 words).
+    block_.assign(7 + num_sets * cfg_.ways, kBadAddr);
     const auto base = reinterpret_cast<std::uintptr_t>(block_.data());
-    tagsAt_ = ((64 - base % 64) % 64) / sizeof(std::uint64_t);
-    stampsAt_ = tagsAt_ + ways;
-    dirtyAt_ = stampsAt_ + ways;
-    std::fill(block_.begin() + tagsAt_, block_.begin() + stampsAt_,
-              kBadAddr);
+    waysAt_ = ((64 - base % 64) % 64) / sizeof(std::uint64_t);
 }
 
 CacheAccessResult
 Cache::access(Addr addr, bool write)
 {
-    ++clock_;
     const Addr line = addr >> lineShift_;
-    const std::size_t first = setWays(line);
-    std::uint64_t *tags = &block_[tagsAt_ + first];
-    std::uint64_t *stamps = &block_[stampsAt_ + first];
-    std::uint64_t &dirty = block_[dirtyAt_ + (line & setMask_)];
+    std::uint64_t *ways = &block_[setAt(line)];
+    const unsigned n = cfg_.ways;
 
-    // Hit path.
-    for (unsigned w = 0; w < cfg_.ways; ++w) {
-        if (tags[w] == line) {
-            stamps[w] = clock_;
-            dirty |= std::uint64_t{write} << w;
+    // Hit: move the way to the front, keeping its dirty bit.
+    for (unsigned w = 0; w < n; ++w) {
+        const std::uint64_t word = ways[w];
+        if ((word >> 1) == line) {
+            std::copy_backward(ways, ways + w, ways + w + 1);
+            ways[0] = word | std::uint64_t{write};
             ++hits_;
             return {true, false, kBadAddr};
         }
     }
 
-    // Miss: pick the first invalid way, else the LRU way.
+    // Miss: the last way is invalid or least recent; it leaves the set.
     ++misses_;
-    unsigned victim = 0;
-    for (unsigned w = 0; w < cfg_.ways; ++w) {
-        if (tags[w] == kBadAddr) {
-            victim = w;
-            break;
-        }
-        if (stamps[w] < stamps[victim]) {
-            victim = w;
-        }
-    }
-
-    const std::uint64_t bit = std::uint64_t{1} << victim;
+    const std::uint64_t victim = ways[n - 1];
     CacheAccessResult res{false, false, kBadAddr};
-    if (tags[victim] != kBadAddr && (dirty & bit)) {
+    if (victim != kBadAddr && (victim & 1)) {
         res.writeback = true;
-        res.victimAddr = tags[victim] << lineShift_;
+        res.victimAddr = (victim >> 1) << lineShift_;
     }
-    tags[victim] = line;
-    stamps[victim] = clock_;
-    dirty = write ? dirty | bit : dirty & ~bit;
+    std::copy_backward(ways, ways + n - 1, ways + n);
+    ways[0] = (line << 1) | std::uint64_t{write};
     return res;
 }
 
@@ -82,16 +63,16 @@ bool
 Cache::contains(Addr addr) const
 {
     const Addr line = addr >> lineShift_;
-    const std::uint64_t *tags = &block_[tagsAt_ + setWays(line)];
-    return std::find(tags, tags + cfg_.ways, line) != tags + cfg_.ways;
+    const std::uint64_t *ways = &block_[setAt(line)];
+    return std::any_of(ways, ways + cfg_.ways, [line](std::uint64_t word) {
+        return (word >> 1) == line;
+    });
 }
 
 void
 Cache::flush()
 {
-    std::fill(block_.begin() + tagsAt_, block_.begin() + stampsAt_,
-              kBadAddr);
-    std::fill(block_.begin() + stampsAt_, block_.end(), 0);
+    std::fill(block_.begin(), block_.end(), kBadAddr);
     resetStats();
 }
 

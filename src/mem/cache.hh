@@ -8,11 +8,14 @@
  * dirty victim that a fill evicts, so the caller can charge writebacks.
  *
  * Line and set counts are powers of two, so an access finds its set
- * with a shift and a mask. Each way's tag is the line number it holds
- * (address >> log2(line size)). Tags, LRU stamps and per-set dirty
- * masks are separate set-major arrays carved from one 64 B-aligned
- * block: an 8-way set's tags fill one host cache line, and a cache
- * costs one allocation however many ways it has.
+ * with a shift and a mask. Each set keeps its ways in recency order,
+ * most recent first, with invalid ways at the end: a hit moves its way
+ * to the front and a miss evicts the last way, so LRU needs no stamps
+ * and no victim scan. A way is one word, the line number it holds
+ * (address >> log2(line size)) shifted up one with the dirty bit
+ * below it. The words are one set-major array in a 64 B-aligned block:
+ * an 8-way set fills one host cache line, and a cache costs one
+ * allocation however many ways it has.
  */
 
 #ifndef CEREAL_MEM_CACHE_HH
@@ -55,13 +58,13 @@ struct CacheAccessResult
     Addr victimAddr;
 };
 
-/** One level of a cache hierarchy (tags + LRU + dirty bits). */
+/** One level of a cache hierarchy (tags + LRU order + dirty bits). */
 class Cache
 {
   public:
     /**
-     * Panics unless the line size and the set count are powers of two
-     * and there are at most 64 ways.
+     * Panics unless the line size (at least 4 B) and the set count are
+     * powers of two and there is at least one way.
      */
     explicit Cache(const CacheConfig &cfg);
 
@@ -96,26 +99,23 @@ class Cache
     }
 
   private:
-    /** Index of @p line's set's first way in the tag and stamp arrays. */
+    /** Index in block_ of @p line's set's first (most recent) way. */
     std::size_t
-    setWays(Addr line) const
+    setAt(Addr line) const
     {
-        return static_cast<std::size_t>(line & setMask_) * cfg_.ways;
+        return waysAt_ +
+               static_cast<std::size_t>(line & setMask_) * cfg_.ways;
     }
 
     CacheConfig cfg_;
     unsigned lineShift_;
     Addr setMask_;
     /**
-     * At tagsAt_, the line number each way holds (kBadAddr when
-     * invalid); at stampsAt_, each way's LRU stamp (larger is more
-     * recent); at dirtyAt_, one dirty-way bit mask per set.
+     * From waysAt_, every set's ways in set order: (line << 1) | dirty,
+     * or kBadAddr when invalid.
      */
     std::vector<std::uint64_t> block_;
-    std::size_t tagsAt_;
-    std::size_t stampsAt_;
-    std::size_t dirtyAt_;
-    std::uint64_t clock_ = 0;
+    std::size_t waysAt_;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
 };

@@ -1,6 +1,7 @@
 #include "mem/dram.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "sim/logging.hh"
 
@@ -12,6 +13,13 @@ Dram::Dram(const std::string &name, EventQueue &eq, const DramConfig &cfg)
     panic_if(!isPowerOf2(cfg_.burstBytes), "burst size must be 2^n");
     panic_if(!isPowerOf2(cfg_.numChannels), "channel count must be 2^n");
     panic_if(!isPowerOf2(cfg_.banksPerChannel), "bank count must be 2^n");
+    panic_if(!isPowerOf2(cfg_.rowBytes) || cfg_.rowBytes < cfg_.burstBytes,
+             "row size must be 2^n bytes and hold at least one burst");
+    burstShift_ = static_cast<unsigned>(std::countr_zero(cfg_.burstBytes));
+    rowShift_ = static_cast<unsigned>(std::countr_zero(cfg_.rowBytes) +
+                                      std::countr_zero(cfg_.numChannels));
+    bankBits_ =
+        static_cast<unsigned>(std::countr_zero(cfg_.banksPerChannel));
 
     channels_.resize(cfg_.numChannels);
     for (auto &ch : channels_) {
@@ -87,13 +95,14 @@ Dram::decode(Addr addr, unsigned &channel, unsigned &bank, Addr &row) const
     // Channel-interleave consecutive bursts so streaming accesses spread
     // across channels (matching typical server mappings); banks
     // interleave above channels, rows above banks.
-    Addr granule = addr / cfg_.burstBytes;
-    channel = static_cast<unsigned>(granule % cfg_.numChannels);
-    granule /= cfg_.numChannels;
-    const Addr bursts_per_row = cfg_.rowBytes / cfg_.burstBytes;
-    Addr row_in_channel = granule / bursts_per_row;
-    bank = static_cast<unsigned>(row_in_channel % cfg_.banksPerChannel);
-    row = row_in_channel / cfg_.banksPerChannel;
+    // Every geometry term is 2^n, so the fields are bit ranges, low to
+    // high: burst offset, channel, burst within the row, bank, row.
+    channel = static_cast<unsigned>((addr >> burstShift_) &
+                                    (cfg_.numChannels - 1));
+    const Addr row_in_channel = addr >> rowShift_;
+    bank = static_cast<unsigned>(row_in_channel &
+                                 (cfg_.banksPerChannel - 1));
+    row = row_in_channel >> bankBits_;
 }
 
 DramResult

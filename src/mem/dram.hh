@@ -155,11 +155,15 @@ class Dram : public SimObject
         Tick busFreeAt = 0;
     };
 
-    /** Map an address to (channel, bank, row). */
+    /** Map an address to (channel, bank, row) with shifts and masks. */
     void decode(Addr addr, unsigned &channel, unsigned &bank,
                 Addr &row) const;
 
     DramConfig cfg_;
+    /** Address bits below the channel field and below the bank field. */
+    unsigned burstShift_, rowShift_;
+    /** log2 of the bank count. */
+    unsigned bankBits_;
     std::vector<Channel> channels_;
     /** One emitter per channel; empty when tracing is off. */
     std::vector<trace::TraceEmitter> chTrace_;

@@ -104,6 +104,55 @@ TEST_F(DramTest, StatsResetClearsCounts)
     EXPECT_DOUBLE_EQ(dram.avgLatencyNs(), 0.0);
 }
 
+TEST_F(DramTest, RowSizeMustBePowerOfTwoBursts)
+{
+    cfg.rowBytes = 8000;
+    EXPECT_DEATH(Dram("dram", eq, cfg), "row size");
+    cfg.rowBytes = cfg.burstBytes / 2;
+    EXPECT_DEATH(Dram("dram", eq, cfg), "row size");
+}
+
+TEST_F(DramTest, DecodeMatchesDivisionReferenceOnRandomAddresses)
+{
+    Dram dram("dram", eq, cfg);
+    // Reference decode by division: bursts interleave over channels,
+    // then rows of bursts over banks, then rows.
+    const Addr bursts_per_row = cfg.rowBytes / cfg.burstBytes;
+    std::vector<Addr> open_row(cfg.numChannels * cfg.banksPerChannel,
+                               kBadAddr);
+    Rng rng(2027);
+    Addr addr = 0;
+    Tick t = 0;
+    std::uint64_t row_hits = 0;
+    for (int i = 0; i < 20000; ++i) {
+        // Half the accesses stride on from the last one, so rows get
+        // reused; the rest land anywhere in 1 GiB.
+        addr = rng.below(2) ? addr + 64 * rng.below(16)
+                            : rng.below(Addr{1} << 30);
+        const Addr granule = addr / cfg.burstBytes;
+        const unsigned ch = static_cast<unsigned>(granule % cfg.numChannels);
+        const Addr row_in_channel =
+            granule / cfg.numChannels / bursts_per_row;
+        const unsigned bank =
+            static_cast<unsigned>(row_in_channel % cfg.banksPerChannel);
+        const Addr row = row_in_channel / cfg.banksPerChannel;
+        Addr &open = open_row[ch * cfg.banksPerChannel + bank];
+
+        const std::uint64_t before = dram.channelBytes(ch);
+        const DramResult res = dram.access(addr, rng.below(4) == 0, t);
+        ASSERT_EQ(dram.channelBytes(ch), before + cfg.burstBytes)
+            << "access " << i << " addr " << addr;
+        ASSERT_EQ(ch, (addr / 64) % 4);
+        ASSERT_EQ(res.rowHit, open == row) << "access " << i;
+        open = row;
+        row_hits += res.rowHit;
+        t = res.completeTick;
+    }
+    EXPECT_EQ(dram.rowHits(), row_hits);
+    EXPECT_GT(row_hits, 0u);
+    EXPECT_LT(row_hits, 20000u);
+}
+
 TEST(CacheTest, HitAfterFill)
 {
     Cache c(CacheConfig::l1());
@@ -244,6 +293,23 @@ class RefLruCache
         return res;
     }
 
+    bool
+    contains(Addr addr) const
+    {
+        const Addr line = addr / cfg_.lineBytes;
+        const auto &set = sets_[line % sets_.size()];
+        return std::any_of(set.begin(), set.end(),
+                           [line](const Way &w) { return w.line == line; });
+    }
+
+    void
+    flush()
+    {
+        for (auto &set : sets_) {
+            set.clear();
+        }
+    }
+
   private:
     struct Way
     {
@@ -263,17 +329,30 @@ TEST(CacheTest, MatchesReferenceLruOnRandomStreams)
         {8192, 4, 32, 1},           // 32 B lines
         {16 * 11 * 64, 11, 64, 1},  // 11 ways, as the L3
         CacheConfig::l1(),
+        CacheConfig::l2(),          // 16 ways
+        CacheConfig::l3(),          // 11 ways, 16384 sets
     };
     std::uint64_t seed = 7;
     for (const CacheConfig &cfg : geometries) {
         Cache dut(cfg);
         RefLruCache ref(cfg);
         Rng rng(seed++);
-        // A footprint of 4x the capacity gives both hits and evictions.
+        // A footprint of 4x the capacity gives both hits and evictions;
+        // eight accesses per line fill even the L3's sets.
         const Addr span = 4 * cfg.sizeBytes;
+        const int n = static_cast<int>(
+            std::max<Addr>(50000, 8 * cfg.sizeBytes / cfg.lineBytes));
         std::uint64_t hits = 0;
         std::uint64_t writebacks = 0;
-        for (int i = 0; i < 50000; ++i) {
+        for (int i = 0; i < n; ++i) {
+            if (i == n / 2) {
+                // Flush mid-stream: both drop every line, and the
+                // model's counters restart.
+                dut.flush();
+                ref.flush();
+                ASSERT_EQ(dut.accesses(), 0u);
+                hits = 0;
+            }
             const Addr addr = 0x40000000 + rng.below(span);
             const bool write = rng.below(4) == 0;
             const CacheAccessResult got = dut.access(addr, write);
@@ -281,11 +360,14 @@ TEST(CacheTest, MatchesReferenceLruOnRandomStreams)
             ASSERT_EQ(got.hit, want.hit) << "access " << i;
             ASSERT_EQ(got.writeback, want.writeback) << "access " << i;
             ASSERT_EQ(got.victimAddr, want.victimAddr) << "access " << i;
+            const Addr probe = 0x40000000 + rng.below(span);
+            ASSERT_EQ(dut.contains(probe), ref.contains(probe))
+                << "probe after access " << i;
             hits += got.hit;
             writebacks += got.writeback;
         }
         EXPECT_EQ(dut.hits(), hits);
-        EXPECT_EQ(dut.misses(), 50000 - hits);
+        EXPECT_EQ(dut.misses(), static_cast<std::uint64_t>(n - n / 2) - hits);
         EXPECT_GT(hits, 0u) << cfg.sizeBytes << " B, " << cfg.ways;
         EXPECT_GT(writebacks, 0u) << cfg.sizeBytes << " B, " << cfg.ways;
     }

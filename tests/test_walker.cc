@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <unordered_map>
+#include <unordered_set>
+
 #include "heap/object.hh"
 #include "heap/walker.hh"
 #include "workloads/micro.hh"
@@ -97,6 +101,116 @@ TEST_F(WalkerTest, DeepListDoesNotOverflowStack)
     Rng rng(1);
     Addr head = micro.buildList(heap, 300000, rng);
     EXPECT_EQ(GraphWalker(heap).reachable(head).size(), 300000u);
+}
+
+/**
+ * Reference GraphWalker::stats over hash tables: an object's depth is
+ * fixed when it is first discovered, and it counts once it is visited.
+ */
+GraphStats
+referenceStats(Heap &heap, Addr root)
+{
+    GraphStats gs;
+    if (root == 0) {
+        return gs;
+    }
+    std::unordered_map<Addr, std::uint64_t> depth{{root, 1}};
+    std::unordered_set<Addr> seen;
+    std::vector<Addr> stack{root};
+    while (!stack.empty()) {
+        const Addr obj = stack.back();
+        stack.pop_back();
+        if (!seen.insert(obj).second) {
+            continue;
+        }
+        const std::uint64_t d = depth[obj];
+        gs.maxDepth = std::max(gs.maxDepth, d);
+        ++gs.objectCount;
+        gs.totalBytes += heap.objectBytes(obj);
+        ObjectView v(heap, obj);
+        std::vector<Addr> refs;
+        if (v.isArray()) {
+            ++gs.arrayCount;
+            if (v.klass().elemType() == FieldType::Reference) {
+                for (std::uint64_t i = 0; i < v.length(); ++i) {
+                    refs.push_back(v.getRefElem(i));
+                }
+            }
+        } else {
+            for (std::uint32_t fi : v.klass().refFields()) {
+                refs.push_back(v.getRef(fi));
+            }
+        }
+        for (Addr r : refs) {
+            if (r == 0) {
+                ++gs.nullReferences;
+                continue;
+            }
+            ++gs.referenceEdges;
+            if (!seen.count(r)) {
+                depth.emplace(r, d + 1);
+                stack.push_back(r);
+            }
+        }
+    }
+    return gs;
+}
+
+TEST_F(WalkerTest, StatsMatchReferenceOnRandomSharedCyclicGraphs)
+{
+    KlassId node = reg.add("Node3", {{"a", FieldType::Reference},
+                                     {"v", FieldType::Long},
+                                     {"b", FieldType::Reference},
+                                     {"c", FieldType::Reference}});
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        Heap h(reg);
+        Rng rng(seed);
+        // Instances, reference arrays and primitive arrays; every
+        // reference slot points anywhere (sharing, cycles) or is null.
+        const std::uint64_t n = 20 + rng.below(300);
+        std::vector<Addr> objs;
+        for (std::uint64_t i = 0; i < n; ++i) {
+            switch (rng.below(4)) {
+              case 0:
+                objs.push_back(h.allocateArray(FieldType::Reference,
+                                               rng.below(6)));
+                break;
+              case 1:
+                objs.push_back(
+                    h.allocateArray(FieldType::Short, rng.below(9)));
+                break;
+              default:
+                objs.push_back(h.allocateInstance(node));
+            }
+        }
+        auto pick = [&]() -> Addr {
+            return rng.below(5) == 0 ? 0 : objs[rng.below(n)];
+        };
+        for (Addr o : objs) {
+            ObjectView v(h, o);
+            if (!v.isArray()) {
+                for (std::uint32_t fi : v.klass().refFields()) {
+                    v.setRef(fi, pick());
+                }
+            } else if (v.klass().elemType() == FieldType::Reference) {
+                for (std::uint64_t i = 0; i < v.length(); ++i) {
+                    v.setRefElem(i, pick());
+                }
+            }
+        }
+        const GraphStats want = referenceStats(h, objs[0]);
+        const GraphStats got = GraphWalker(h).stats(objs[0]);
+        EXPECT_EQ(got.objectCount, want.objectCount) << "seed " << seed;
+        EXPECT_EQ(got.totalBytes, want.totalBytes) << "seed " << seed;
+        EXPECT_EQ(got.referenceEdges, want.referenceEdges)
+            << "seed " << seed;
+        EXPECT_EQ(got.nullReferences, want.nullReferences)
+            << "seed " << seed;
+        EXPECT_EQ(got.arrayCount, want.arrayCount) << "seed " << seed;
+        EXPECT_EQ(got.maxDepth, want.maxDepth) << "seed " << seed;
+        EXPECT_EQ(GraphWalker(h).reachable(objs[0]).size(),
+                  want.objectCount);
+    }
 }
 
 class GraphEqualsTest : public ::testing::Test
@@ -205,6 +319,66 @@ TEST_F(GraphEqualsTest, NullVsNonNullDetected)
     auto nb = GraphWalker(b).reachable(rb);
     ObjectView(b, nb[1]).setRef(1, rb); // tail->next = head in B only
     EXPECT_FALSE(graphEquals(a, ra, b, rb));
+}
+
+TEST_F(GraphEqualsTest, PrimitiveArrayMismatchNamesFirstIndex)
+{
+    for (FieldType t : {FieldType::Byte, FieldType::Int, FieldType::Long}) {
+        Addr ra = a.allocateArray(t, 100);
+        Addr rb = b.allocateArray(t, 100);
+        for (std::uint64_t i = 0; i < 100; ++i) {
+            ObjectView(a, ra).setElem(i, i);
+            ObjectView(b, rb).setElem(i, i);
+        }
+        std::string why;
+        EXPECT_TRUE(graphEquals(a, ra, b, rb, &why)) << why;
+        ObjectView(b, rb).setElem(80, 7);
+        ObjectView(b, rb).setElem(37, 7);
+        EXPECT_FALSE(graphEquals(a, ra, b, rb, &why));
+        EXPECT_NE(why.find("element 37 mismatch"), std::string::npos)
+            << why;
+        ObjectView(b, rb).setElem(0, 7);
+        EXPECT_FALSE(graphEquals(a, ra, b, rb, &why));
+        EXPECT_NE(why.find("element 0 mismatch"), std::string::npos)
+            << why;
+    }
+}
+
+TEST_F(GraphEqualsTest, EqualAcrossRegistries)
+{
+    // A second registry with the same class names, registered in
+    // another order and without the Cereal header slot: descriptors,
+    // ids and field slots all differ, names do not.
+    KlassRegistry other(false);
+    other.add("Unrelated", {{"x", FieldType::Int}});
+    MicroWorkloads other_micro(other);
+    Heap c(other);
+    for (auto mb : {workloads::MicroBench::TreeNarrow,
+                    workloads::MicroBench::ListSmall,
+                    workloads::MicroBench::GraphSparse}) {
+        Addr ra = micro.build(a, mb, 4096, 9);
+        Addr rc = other_micro.build(c, mb, 4096, 9);
+        std::string why;
+        EXPECT_TRUE(graphEquals(a, ra, c, rc, &why)) << why;
+        EXPECT_TRUE(graphEquals(c, rc, a, ra, &why)) << why;
+    }
+
+    Rng r1(5), r2(5);
+    Addr ra = micro.buildList(a, 20, r1);
+    Addr rc = other_micro.buildList(c, 20, r2);
+    ObjectView(c, GraphWalker(c).reachable(rc)[10]).setLong(0, -1);
+    std::string why;
+    EXPECT_FALSE(graphEquals(a, ra, c, rc, &why));
+    EXPECT_NE(why.find("value"), std::string::npos) << why;
+
+    // Same name, different fields: a mismatch, not a read past the
+    // smaller object.
+    KlassId leaf_a =
+        reg.add("Leaf", {{"v", FieldType::Long}, {"w", FieldType::Long}});
+    KlassId leaf_c = other.add("Leaf", {{"v", FieldType::Long}});
+    EXPECT_FALSE(graphEquals(a, a.allocateInstance(leaf_a), c,
+                             c.allocateInstance(leaf_c), &why));
+    EXPECT_NE(why.find("layout mismatch"), std::string::npos) << why;
 }
 
 } // namespace
