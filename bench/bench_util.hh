@@ -90,45 +90,9 @@ class Options
     parse(int argc, char **argv, std::uint64_t default_scale = 64,
           const char *bench_name = nullptr)
     {
-        return parseImpl(argc, argv, default_scale, bench_name, false);
-    }
-
-    /**
-     * Like parse(), but leaves `--benchmark_*` flags in argv for a
-     * downstream parser (the google-benchmark bench); any other
-     * unknown flag is still fatal. @p argc is updated in place.
-     */
-    static Options
-    parsePassthrough(int &argc, char **argv,
-                     std::uint64_t default_scale = 64,
-                     const char *bench_name = nullptr)
-    {
-        return parseImpl(argc, argv, default_scale, bench_name, true);
-    }
-
-  private:
-    static bool
-    isInteger(const char *s)
-    {
-        if (*s == '\0') {
-            return false;
-        }
-        for (; *s; ++s) {
-            if (!std::isdigit(static_cast<unsigned char>(*s))) {
-                return false;
-            }
-        }
-        return true;
-    }
-
-    static Options
-    parseImpl(int &argc, char **argv, std::uint64_t default_scale,
-              const char *bench_name, bool pass_benchmark_flags)
-    {
         Options opts;
         opts.scale = default_scale;
 
-        int out = 1;
         for (int i = 1; i < argc; ++i) {
             const char *arg = argv[i];
             if (std::strcmp(arg, "--threads") == 0) {
@@ -193,16 +157,26 @@ class Options
             } else if (isInteger(arg)) {
                 opts.scale = std::strtoull(arg, nullptr, 10);
                 fatal_if(opts.scale == 0, "scale divisor must be >= 1");
-            } else if (pass_benchmark_flags &&
-                       std::strncmp(arg, "--benchmark_", 12) == 0) {
-                argv[out++] = argv[i];
             } else {
                 fatal("unknown argument '%s' (see --help)", arg);
             }
         }
-        argc = out;
-        argv[argc] = nullptr;
         return opts;
+    }
+
+  private:
+    static bool
+    isInteger(const char *s)
+    {
+        if (*s == '\0') {
+            return false;
+        }
+        for (; *s; ++s) {
+            if (!std::isdigit(static_cast<unsigned char>(*s))) {
+                return false;
+            }
+        }
+        return true;
     }
 };
 

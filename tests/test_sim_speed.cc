@@ -2,9 +2,8 @@
  * @file
  * The sim-speed tier: tests for the simulator fast path.
  *
- *  - Arena / Pool / BufferPool / ContiguousBuffer allocation-layer
- *    semantics (alignment, chunk reuse across reset, free-list
- *    recycling, zeroing, growth).
+ *  - BufferPool / ContiguousBuffer semantics (capacity recycling,
+ *    zeroing, growth).
  *  - A global-operator-new counting proof that the hot event loop
  *    allocates zero bytes per event (same technique as test_trace's
  *    null-sink guarantee), and that Cereal serialization, functional
@@ -79,96 +78,7 @@ using cluster::ClusterConfig;
 using cluster::ClusterSim;
 using cluster::LatencySummary;
 
-// ---------------------------------------------------------- arena
-
-TEST(Arena, RespectsAlignment)
-{
-    sim::Arena arena(256);
-    for (std::size_t align : {1u, 2u, 4u, 8u, 16u, 32u, 64u}) {
-        void *p = arena.alloc(3, align);
-        ASSERT_NE(p, nullptr);
-        EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % align, 0u);
-    }
-    // Zero-byte allocations still return distinct live pointers.
-    void *a = arena.alloc(0, 1);
-    void *b = arena.alloc(0, 1);
-    EXPECT_NE(a, b);
-}
-
-TEST(Arena, NonPowerOfTwoAlignmentPanics)
-{
-    sim::Arena arena;
-    EXPECT_DEATH(arena.alloc(8, 3), "2\\^n");
-}
-
-TEST(Arena, GrowsAcrossChunksAndResetReusesThem)
-{
-    sim::Arena arena(128);
-    std::vector<unsigned char *> ptrs;
-    for (int i = 0; i < 64; ++i) {
-        auto *p = static_cast<unsigned char *>(arena.alloc(100));
-        std::memset(p, 0xAB, 100);
-        ptrs.push_back(p);
-    }
-    EXPECT_GE(arena.chunkCount(), 2u);
-    EXPECT_GE(arena.bytesInUse(), 64u * 100u);
-    const std::size_t chunks = arena.chunkCount();
-    const std::size_t reserved = arena.bytesReserved();
-
-    arena.reset();
-    EXPECT_EQ(arena.bytesInUse(), 0u);
-    // Same allocation pattern after reset: no new chunks needed.
-    for (int i = 0; i < 64; ++i) {
-        arena.alloc(100);
-    }
-    EXPECT_EQ(arena.chunkCount(), chunks);
-    EXPECT_EQ(arena.bytesReserved(), reserved);
-}
-
-TEST(Arena, MakeConstructsInPlace)
-{
-    struct Obj
-    {
-        int a;
-        double b;
-        Obj(int a, double b) : a(a), b(b) {}
-    };
-    sim::Arena arena;
-    Obj *o = arena.make<Obj>(7, 2.5);
-    ASSERT_NE(o, nullptr);
-    EXPECT_EQ(o->a, 7);
-    EXPECT_DOUBLE_EQ(o->b, 2.5);
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(o) % alignof(Obj), 0u);
-}
-
-TEST(Pool, RecyclesReleasedSlots)
-{
-    sim::Pool<std::uint64_t> pool;
-    std::uint64_t *a = pool.acquire(11u);
-    EXPECT_EQ(*a, 11u);
-    EXPECT_EQ(pool.liveCount(), 1u);
-    pool.release(a);
-    EXPECT_EQ(pool.liveCount(), 0u);
-    EXPECT_EQ(pool.freeCount(), 1u);
-    // The freed slot comes straight back.
-    std::uint64_t *b = pool.acquire(22u);
-    EXPECT_EQ(b, a);
-    EXPECT_EQ(*b, 22u);
-    EXPECT_EQ(pool.freeCount(), 0u);
-    pool.release(b);
-}
-
-TEST(Pool, MisuseIsFatal)
-{
-    sim::Pool<int> pool;
-    EXPECT_DEATH(pool.release(nullptr), "nullptr");
-    EXPECT_DEATH(
-        {
-            sim::Pool<int> leaky;
-            leaky.acquire(1);
-        },
-        "live");
-}
+// ------------------------------------------------- buffer recycling
 
 TEST(BufferPool, RetainsCapacityAcrossRoundTrips)
 {
