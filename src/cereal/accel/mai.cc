@@ -24,20 +24,14 @@ Mai::blockAccess(Addr block, bool write, Tick issue)
 {
     ++requests_;
 
-    if (!write) {
-        // Coalescing: join an in-flight read of the same block.
-        if (const Tick *t = inflight_.find(block); t && *t > issue) {
-            ++coalesced_;
-            trace_.instant("mai_hit", issue);
-            return *t;
-        }
-        // Data-buffer hit: the block was fetched recently and still
-        // sits in the MAI's 4 KB buffer.
-        if (const Tick *t = lineBuffer_.find(block)) {
-            ++coalesced_;
-            trace_.instant("mai_hit", issue);
-            return std::max(issue, *t);
-        }
+    Line *line = write ? nullptr : lines_.find(block);
+    // Coalescing: join an in-flight read of the same block, or hit the
+    // data buffer, which still holds a recently fetched block. Both
+    // flags of a line share its one fetch's tick.
+    if (line && (line->buffered || (line->inflight && line->done > issue))) {
+        ++coalesced_;
+        trace_.instant("mai_hit", issue);
+        return std::max(issue, line->done);
     }
 
     if (tlb_) {
@@ -53,20 +47,30 @@ Mai::blockAccess(Addr block, bool write, Tick issue)
     Tick done = dram_->access(block, write, issue).completeTick;
     outstanding_.push_back(done);
     if (!write) {
-        inflight_.assign(block, done);
-        // Fill the data buffer, evicting FIFO beyond its capacity.
-        if (lineBuffer_.assign(block, done)) {
-            lineFifo_.push_back(block);
-            if (lineFifo_.size() > entries_) {
-                lineBuffer_.erase(lineFifo_.front());
-                lineFifo_.pop_front();
+        // A missed block is not buffered, so it enters the data buffer
+        // fresh, evicting FIFO beyond its capacity.
+        inflightLines_ += !(line && line->inflight);
+        lines_.assign(block, {done, true, true});
+        lineFifo_.push_back(block);
+        if (lineFifo_.size() > entries_) {
+            Line *old = lines_.find(lineFifo_.front());
+            old->buffered = false;
+            if (!old->inflight) {
+                lines_.erase(lineFifo_.front());
             }
+            lineFifo_.pop_front();
         }
-        // Bound the coalescing map: stale entries are harmless (the
-        // `> issue` check above rejects them) but unbounded growth is
-        // not; prune opportunistically.
-        if (inflight_.size() > entries_ * 4) {
-            inflight_.eraseIf([issue](Tick t) { return t <= issue; });
+        // Bound the coalescing state: stale in-flight lines are
+        // harmless (the `> issue` check above rejects them) but
+        // unbounded growth is not; prune opportunistically.
+        if (inflightLines_ > entries_ * 4) {
+            lines_.eraseIf([&](Line &l) {
+                if (l.inflight && l.done <= issue) {
+                    l.inflight = false;
+                    --inflightLines_;
+                }
+                return !l.inflight && !l.buffered;
+            });
         }
     }
     return done;

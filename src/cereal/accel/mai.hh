@@ -76,8 +76,8 @@ class Mai
     reset()
     {
         outstanding_.clear();
-        inflight_.clear();
-        lineBuffer_.clear();
+        lines_.clear();
+        inflightLines_ = 0;
         lineFifo_.clear();
         coalesced_ = 0;
         requests_ = 0;
@@ -96,16 +96,29 @@ class Mai
 
     /** Completion ticks of in-flight requests (FIFO). */
     sim::RingQueue<Tick> outstanding_;
-    /** Block address -> completion tick, for coalescing. */
-    sim::AddrMap<Tick> inflight_;
+
+    /** A fetched block's state; present while either flag is set. */
+    struct Line
+    {
+        /** Completion tick of the block's last DRAM read. */
+        Tick done;
+        /** Counted as in flight, for coalescing. */
+        bool inflight;
+        /** Held in the data buffer. */
+        bool buffered;
+    };
 
     /**
-     * The MAI's 4 KB data buffer (Table I): the last `entries_` fetched
-     * blocks with their fill times. A read that hits a buffered block
-     * is served without a DRAM access (the SU's visited check and the
-     * subsequent object-handler load share lines this way).
+     * Fetched blocks by address. In-flight lines let a read join a
+     * fetch of the same block. Buffered lines are the MAI's 4 KB data
+     * buffer (Table I): the last `entries_` fetched blocks, in
+     * `lineFifo_` order. A read that hits a buffered block is served
+     * without a DRAM access (the SU's visited check and the subsequent
+     * object-handler load share lines this way).
      */
-    sim::AddrMap<Tick> lineBuffer_;
+    sim::AddrMap<Line> lines_;
+    /** Lines with the in-flight flag set. */
+    std::size_t inflightLines_ = 0;
     sim::RingQueue<Addr> lineFifo_;
 
     std::uint64_t coalesced_ = 0;

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "heap/object.hh"
+#include "heap/object_table.hh"
 #include "metrics/metrics.hh"
 #include "sim/flat.hh"
 #include "sim/logging.hh"
@@ -159,11 +160,8 @@ class SuSim
           refEnds_(mai, stream_base + 0x1800'0000ULL),
           bitmaps_(mai, stream_base + 0x2000'0000ULL),
           bitmapEnds_(mai, stream_base + 0x2800'0000ULL),
-          headerSlots_(heap.registry().headerSlots())
+          headerSlots_(heap.registry().headerSlots()), visited_(heap)
     {
-        // Every object the walk can reach is one of the heap's, so the
-        // visited table never rehashes mid-walk.
-        visited_.reserve(heap.objectCount());
         // One group per op; the recorder uniquifies repeated prefixes
         // ("cereal.accel.su", "cereal.accel.su#1", ...) the way
         // per-unit trace tracks do.
@@ -337,9 +335,10 @@ class SuSim
         Tick hm_t = now + cyc(cfg_.hmPerRef);
 
         // Relative address to the reference array writer.
-        const std::uint64_t *seen = visited_.find(ref.target);
-        const bool first = seen == nullptr;
-        std::uint64_t rel = first ? assignedBytes_ : *seen;
+        std::uint32_t &seen = visited_[ref.target];
+        const bool first = seen == 0;
+        const std::uint64_t rel =
+            first ? assignedBytes_ : std::uint64_t{seen - 1} * 8;
         rawFree_ = std::max(rawFree_, hm_t) + cyc(cfg_.rawPerRef);
         produceRef(packedRefBuckets(rel / 8 + 1), rawFree_);
 
@@ -365,7 +364,7 @@ class SuSim
         const unsigned slots = heap_->objectSlots(ref.target);
         Tick size_known = meta_done + cyc(cfg_.ommPerObject);
 
-        visited_.assign(ref.target, assignedBytes_);
+        seen = ObjectTable::entry(assignedBytes_ / 8);
         assignedBytes_ += Addr{slots} * 8;
         ++out_.objects;
 
@@ -463,8 +462,8 @@ class SuSim
     unsigned headerSlots_;
 
     sim::RingQueue<PendingRef> pending_;
-    /** Object -> relative address, for objects already discovered. */
-    sim::AddrMap<std::uint64_t> visited_;
+    /** Object -> relative address / 8 + 1 once discovered, else 0. */
+    ObjectTable visited_;
     std::uint64_t assignedBytes_ = 0;
 
     Tick hmFree_ = 0;

@@ -13,9 +13,9 @@ std::uint8_t
 CerealSerializer::nextUnitId()
 {
     // Atomic: serializers are constructed concurrently from sweep
-    // points. The ID never reaches the serialized bytes (it only
-    // disambiguates visited-marks within one heap), so the allocation
-    // order being nondeterministic under threads is harmless.
+    // points. The ID never reaches the serialized bytes and visited
+    // marks do not depend on it, so the allocation order being
+    // nondeterministic under threads is harmless.
     static std::atomic<std::uint8_t> next{0};
     return static_cast<std::uint8_t>(next.fetch_add(1) + 1);
 }
@@ -67,13 +67,9 @@ CerealSerializer::serializeToStream(Heap &src, Addr root)
     panic_if(!src.registry().hasCerealHeaderExt(),
              "Cereal requires the 8 B header extension (Section V-E)");
 
-    // Bump the per-unit serialization counter; emulate the GC-assisted
-    // reset when the 16-bit field wraps.
-    if (++serialCounter_ == 0) {
-        src.clearCerealMetadata();
-        serialCounter_ = 1;
-    }
-    const std::uint16_t counter = serialCounter_;
+    // The heap hands out the visited mark, so no two serializations of
+    // one heap share it, however many serializers there are.
+    const std::uint16_t counter = src.nextCerealCounter();
     const std::uint8_t unit = unitId_;
 
     CerealStream out;
@@ -194,9 +190,8 @@ CerealSerializer::deserializeStream(const CerealStream &s, Heap &dst)
     // starts instead of trusted to land on one.
     struct RefPatch
     {
-        Addr slotAddr;
+        Addr at; // graph-relative offset of the slot
         std::uint64_t token;
-        Addr at; // graph-relative offset of the slot, for diagnostics
     };
     std::vector<RefPatch> patches;
     // Bit k set iff an object starts at graph offset 8k.
@@ -232,7 +227,7 @@ CerealSerializer::deserializeStream(const CerealStream &s, Heap &dst)
                 ++refs_used;
                 word = 0; // patched below for non-null tokens
                 if (token != kNullRefToken) {
-                    patches.push_back({slot_addr, token, at});
+                    patches.push_back({at, token});
                 }
             } else if (slot == 0) {
                 // Mark word: from the stream, or regenerated when the
@@ -344,7 +339,7 @@ CerealSerializer::deserializeStream(const CerealStream &s, Heap &dst)
                      DecodeStatus::BadHandle, p.at,
                      "reference target +%llu is not an object start",
                      (unsigned long long)rel);
-        dst.store64(p.slotAddr, base + rel);
+        dst.store64(base + p.at, base + rel);
     }
     return base;
 }

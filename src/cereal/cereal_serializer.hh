@@ -11,8 +11,9 @@
  *  - objects are discovered in reference-arrival order (BFS), the order
  *    the header manager sees them;
  *  - visited tracking uses the 16-bit serialization counter in the
- *    object's extension header word (Section V-E); on counter wrap the
- *    heap's metadata is cleared, mimicking the GC-assisted reset;
+ *    object's extension header word (Section V-E), drawn per heap; on
+ *    counter wrap the heap's metadata is cleared, mimicking the
+ *    GC-assisted reset;
  *  - klass pointers are translated to dense class IDs via the
  *    registered-class table (the Klass Pointer Table CAM holds at most
  *    kMaxClasses entries);
@@ -95,12 +96,10 @@ class CerealSerializer : public Serializer
     /** Klass Pointer Table, indexed by KlassId. */
     std::vector<std::uint32_t> toClassId_;
     std::vector<KlassId> fromClassId_;
-    /** Per-serializer serialization counter (16-bit in hardware). */
-    std::uint16_t serialCounter_ = 0;
     /**
-     * Distinct per-instance unit ID: a visited mark only counts when
-     * both the counter and the unit ID match, so two units' counters
-     * cannot alias each other's traversal state (Section V-E).
+     * Per-instance unit ID stamped beside the counter (Section V-E).
+     * It wraps after 256 serializers; the counter, drawn from the heap,
+     * is what keeps two serializations' visited marks apart.
      */
     std::uint8_t unitId_ = nextUnitId();
 

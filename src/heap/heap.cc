@@ -185,4 +185,14 @@ Heap::clearCerealMetadata()
     }
 }
 
+std::uint16_t
+Heap::nextCerealCounter()
+{
+    if (++cerealCounter_ == 0) {
+        clearCerealMetadata();
+        cerealCounter_ = 1;
+    }
+    return cerealCounter_;
+}
+
 } // namespace cereal

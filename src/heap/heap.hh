@@ -196,6 +196,14 @@ class Heap
      */
     void clearCerealMetadata();
 
+    /**
+     * Visited mark for the next Cereal serialization of this heap.
+     * Marks are unique per heap, whichever serializer draws them, until
+     * the 16-bit counter wraps; then every extension word is cleared
+     * (the GC-assisted reset of Section V-E) and the count restarts.
+     */
+    std::uint16_t nextCerealCounter();
+
   private:
     std::uint8_t *hostPtr(Addr addr, Addr n);
     const std::uint8_t *hostPtr(Addr addr, Addr n) const;
@@ -208,6 +216,8 @@ class Heap
     sim::ContiguousBuffer mem_;
     std::vector<Addr> objects_;
     std::uint32_t nextHash_ = 0x1234567;
+    /** Last visited mark handed out; 0 matches no live mark. */
+    std::uint16_t cerealCounter_ = 0;
 };
 
 } // namespace cereal

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
-#include "sim/flat.hh"
+#include "heap/object_table.hh"
 #include "sim/logging.hh"
 
 namespace cereal {
@@ -102,13 +102,6 @@ class ObjectSet
         return fresh;
     }
 
-    bool
-    contains(Addr obj) const
-    {
-        const Addr i = (obj - heap_->base()) / 8;
-        return i / 64 < bits_.size() && (bits_[i / 64] >> (i % 64)) & 1;
-    }
-
   private:
     const Heap *heap_;
     std::vector<std::uint64_t> bits_;
@@ -159,21 +152,22 @@ GraphWalker::stats(Addr root) const
     if (root == 0) {
         return gs;
     }
-    // An object's depth is fixed when it is first discovered and kept
-    // in `pending` until the object is visited.
-    ObjectSet visited(*heap_);
-    sim::AddrMap<std::uint64_t> pending;
-    pending.assign(root, 1);
+    // An object's entry holds its depth from its discovery until its
+    // visit, then kVisited.
+    constexpr std::uint32_t kVisited = ~std::uint32_t{0};
+    ObjectTable depth(*heap_);
+    depth[root] = 1;
     std::vector<Addr> stack{root};
     std::vector<Addr> refs;
     while (!stack.empty()) {
         Addr obj = stack.back();
         stack.pop_back();
-        if (!visited.insert(obj)) {
+        std::uint32_t &e = depth[obj];
+        if (e == kVisited) {
             continue;
         }
-        const std::uint64_t d = *pending.find(obj);
-        pending.erase(obj);
+        const std::uint64_t d = e;
+        e = kVisited;
         gs.maxDepth = std::max(gs.maxDepth, d);
         ++gs.objectCount;
         const Resolved r = resolve(*heap_, obj);
@@ -189,9 +183,10 @@ GraphWalker::stats(Addr root) const
                 continue;
             }
             ++gs.referenceEdges;
-            if (!visited.contains(ref)) {
-                if (!pending.find(ref)) {
-                    pending.assign(ref, d + 1);
+            std::uint32_t &re = depth[ref];
+            if (re != kVisited) {
+                if (re == 0) {
+                    re = static_cast<std::uint32_t>(d + 1);
                 }
                 stack.push_back(ref);
             }
@@ -207,7 +202,8 @@ struct EqContext
 {
     Heap *ha;
     Heap *hb;
-    sim::AddrMap<Addr> aToB;
+    /** a -> b's slot index in hb + 1, once a has been matched. */
+    ObjectTable aToB;
     std::string *why;
     bool compareHash;
 
@@ -303,8 +299,8 @@ bool
 graphEquals(Heap &heap_a, Addr root_a, Heap &heap_b, Addr root_b,
             std::string *why, bool compare_identity_hash)
 {
-    EqContext ctx{&heap_a, &heap_b, {}, why, compare_identity_hash};
-    ctx.aToB.reserve(heap_a.objectCount());
+    EqContext ctx{&heap_a, &heap_b, ObjectTable(heap_a), why,
+                  compare_identity_hash};
 
     std::vector<std::pair<Addr, Addr>> work{{root_a, root_b}};
     while (!work.empty()) {
@@ -316,15 +312,18 @@ graphEquals(Heap &heap_a, Addr root_a, Heap &heap_b, Addr root_b,
             }
             continue;
         }
-        if (const Addr *seen = ctx.aToB.find(a)) {
+        std::uint32_t &seen = ctx.aToB[a];
+        const std::uint32_t b_entry =
+            ObjectTable::entry(ObjectTable::index(heap_b, b));
+        if (seen != 0) {
             // Aliasing structure must be preserved: a previously visited
             // object must map to the same counterpart.
-            if (*seen != b) {
+            if (seen != b_entry) {
                 return ctx.fail("sharing (aliasing) structure mismatch");
             }
             continue;
         }
-        ctx.aToB.assign(a, b);
+        seen = b_entry;
         if (!objectsMatch(ctx, a, b, work)) {
             return false;
         }

@@ -409,11 +409,8 @@ Group::histogram(const char *name, const char *help,
 }
 
 void
-Group::tick(Tick now)
+Group::tickSlow(Tick now)
 {
-    if (rec_ == nullptr) {
-        return;
-    }
     rec_->tickSeries(ids_, now);
 }
 

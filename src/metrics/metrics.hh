@@ -302,11 +302,20 @@ class Group
      * Sample every series of this group at each interval boundary in
      * (last boundary, now]. Clocks that move backwards (a component
      * restarting at tick 0) simply produce no samples until they pass
-     * the series' high-water mark.
+     * the series' high-water mark. Inline: DRAM, the core model and
+     * the SU call it on every access, almost always with no recorder.
      */
-    void tick(Tick now);
+    void
+    tick(Tick now)
+    {
+        if (rec_) {
+            tickSlow(now);
+        }
+    }
 
   private:
+    void tickSlow(Tick now);
+
     MetricsRecorder *rec_ = nullptr;
     std::string prefix_;
     std::vector<std::size_t> ids_;

@@ -5,6 +5,7 @@
 #include <unordered_set>
 
 #include "heap/object.hh"
+#include "heap/object_table.hh"
 #include "serde/bytes.hh"
 #include "sim/logging.hh"
 
@@ -121,7 +122,10 @@ HpsSerializer::serialize(Heap &src, Addr root, MemSink *sink)
     // Region offsets are assigned at first encounter: segment sizes
     // are a pure function of the class (and array length), so the
     // layout is known before the target segment is written.
-    std::unordered_map<Addr, std::uint64_t> rel_of;
+    // Segment offsets are not slot-aligned: the table holds each
+    // object's handle + 1, and rels[handle] its offset.
+    ObjectTable handles(src);
+    std::vector<std::uint64_t> rels;
     std::deque<Addr> queue;
     std::uint64_t assigned_bytes = 0;
 
@@ -140,13 +144,14 @@ HpsSerializer::serialize(Heap &src, Addr root, MemSink *sink)
     auto ref_rel = [&](Addr obj) -> std::uint64_t {
         panic_if(obj == 0, "ref_rel(null)");
         chargeProbe(sink, costs_, obj);
-        auto it = rel_of.find(obj);
-        if (it != rel_of.end()) {
-            return it->second;
+        std::uint32_t &e = handles[obj];
+        if (e != 0) {
+            return rels[e - 1];
         }
-        std::uint64_t rel = assigned_bytes;
+        e = ObjectTable::entry(rels.size());
+        const std::uint64_t rel = assigned_bytes;
         assigned_bytes += 4 + seg_bytes_of(obj);
-        rel_of.emplace(obj, rel);
+        rels.push_back(rel);
         queue.push_back(obj);
         return rel;
     };

@@ -4,6 +4,7 @@
 #include <unordered_map>
 
 #include "heap/object.hh"
+#include "heap/object_table.hh"
 #include "serde/bytes.hh"
 #include "sim/logging.hh"
 
@@ -93,7 +94,8 @@ JavaSerializer::serialize(Heap &src, Addr root, MemSink *sink)
 
     // Object handles are assigned in enqueue (BFS discovery) order, so
     // record i in the stream describes handle i.
-    std::unordered_map<Addr, std::uint32_t> handles;
+    ObjectTable handles(src); // handle + 1
+    std::uint32_t next_handle = 0;
     std::deque<Addr> queue;
     std::unordered_map<KlassId, std::uint32_t> class_handles;
 
@@ -102,14 +104,13 @@ JavaSerializer::serialize(Heap &src, Addr root, MemSink *sink)
             return kNullHandle;
         }
         chargeProbe(sink, costs_, obj);
-        auto it = handles.find(obj);
-        if (it != handles.end()) {
-            return it->second;
+        std::uint32_t &e = handles[obj];
+        if (e != 0) {
+            return e - 1;
         }
-        auto h = static_cast<std::uint32_t>(handles.size());
-        handles.emplace(obj, h);
+        e = ObjectTable::entry(next_handle);
         queue.push_back(obj);
-        return h;
+        return next_handle++;
     };
 
     auto write_classdesc = [&](KlassId id) {

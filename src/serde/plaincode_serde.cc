@@ -1,9 +1,9 @@
 #include "serde/plaincode_serde.hh"
 
 #include <deque>
-#include <unordered_map>
 
 #include "heap/object.hh"
+#include "heap/object_table.hh"
 #include "serde/bytes.hh"
 #include "sim/logging.hh"
 
@@ -54,7 +54,8 @@ PlaincodeSerializer::serialize(Heap &src, Addr root, MemSink *sink)
     ByteWriter w(sink);
     w.u32(kMagic);
 
-    std::unordered_map<Addr, std::uint64_t> handles;
+    ObjectTable handles(src); // handle + 1
+    std::uint64_t next_handle = 0;
     std::deque<Addr> queue;
 
     // Reference encoding: 0 = null, otherwise handle+1 as a varint.
@@ -63,14 +64,12 @@ PlaincodeSerializer::serialize(Heap &src, Addr root, MemSink *sink)
             return kNullRef;
         }
         chargeProbe(sink, costs_, obj);
-        auto it = handles.find(obj);
-        if (it != handles.end()) {
-            return it->second + 1;
+        std::uint32_t &e = handles[obj];
+        if (e == 0) {
+            e = ObjectTable::entry(next_handle++);
+            queue.push_back(obj);
         }
-        std::uint64_t h = handles.size();
-        handles.emplace(obj, h);
-        queue.push_back(obj);
-        return h + 1;
+        return e;
     };
 
     setPhase(sink, "walk");

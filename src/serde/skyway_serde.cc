@@ -5,6 +5,7 @@
 #include <unordered_set>
 
 #include "heap/object.hh"
+#include "heap/object_table.hh"
 #include "serde/bytes.hh"
 #include "sim/logging.hh"
 
@@ -58,7 +59,7 @@ SkywaySerializer::serialize(Heap &src, Addr root, MemSink *sink)
 
     // Relative addresses are assigned at first encounter: the stream
     // data section is laid out in BFS discovery order.
-    std::unordered_map<Addr, std::uint64_t> rel_of;
+    ObjectTable rel_of(src); // relative address / 8 + 1
     std::deque<Addr> queue;
     std::uint64_t assigned_bytes = 0;
 
@@ -68,13 +69,13 @@ SkywaySerializer::serialize(Heap &src, Addr root, MemSink *sink)
     auto ref_rel = [&](Addr obj) -> std::uint64_t {
         panic_if(obj == 0, "ref_rel(null)");
         chargeProbe(sink, costs_, obj);
-        auto it = rel_of.find(obj);
-        if (it != rel_of.end()) {
-            return it->second;
+        std::uint32_t &e = rel_of[obj];
+        if (e != 0) {
+            return std::uint64_t{e - 1} * 8;
         }
-        std::uint64_t rel = assigned_bytes;
+        const std::uint64_t rel = assigned_bytes;
         assigned_bytes += src.objectBytes(obj);
-        rel_of.emplace(obj, rel);
+        e = ObjectTable::entry(rel / 8);
         queue.push_back(obj);
         return rel;
     };

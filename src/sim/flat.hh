@@ -23,7 +23,6 @@
 #define CEREAL_SIM_FLAT_HH
 
 #include <algorithm>
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -137,17 +136,6 @@ class AddrMap
     /** Key value reserved for empty slots. */
     static constexpr Addr kEmpty = ~Addr{0};
 
-    /** Size the table so @p n keys fit without rehashing. */
-    void
-    reserve(std::size_t n)
-    {
-        const std::size_t want = std::bit_ceil(std::max<std::size_t>(
-            16, n * 2)); // load factor stays at or below 1/2
-        if (want > slots_.size()) {
-            rehash(want);
-        }
-    }
-
     std::size_t size() const { return size_; }
 
     /** The value stored under @p key, or nullptr. */
@@ -202,7 +190,11 @@ class AddrMap
         removeAt(i);
     }
 
-    /** Remove every entry whose value satisfies @p pred. */
+    /**
+     * Remove every entry whose value satisfies @p pred. The predicate
+     * may update the value it is given, provided it would answer the
+     * same if asked again.
+     */
     template <typename Pred>
     void
     eraseIf(Pred pred)

@@ -8,10 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "cereal/api.hh"
 #include "cereal/area_power.hh"
 #include "heap/object.hh"
 #include "heap/walker.hh"
+#include "sim/flat.hh"
+#include "sim/rng.hh"
 #include "workloads/micro.hh"
 
 namespace cereal {
@@ -103,6 +107,159 @@ TEST(MaiTest, MultiBurstRead)
     EXPECT_EQ(dram.accesses(), 4u);
 }
 
+/**
+ * The MAI as it was with two tables, an in-flight map and a line-buffer
+ * map, kept as the reference for the one-table model.
+ */
+class TwoTableMai
+{
+  public:
+    TwoTableMai(Dram &dram, unsigned entries, Tlb *tlb)
+        : dram_(&dram), entries_(entries), tlb_(tlb)
+    {
+    }
+
+    Tick read(Addr addr, Addr bytes, Tick issue)
+    {
+        return span(addr, bytes, false, issue);
+    }
+
+    Tick write(Addr addr, Addr bytes, Tick issue)
+    {
+        return span(addr, bytes, true, issue);
+    }
+
+    Tick
+    atomicRmw(Addr addr, Tick issue)
+    {
+        return blockAccess(roundDown(addr, 64), false, issue);
+    }
+
+    std::uint64_t coalescedHits() const { return coalesced_; }
+    std::uint64_t requests() const { return requests_; }
+
+  private:
+    Tick
+    span(Addr addr, Addr bytes, bool write, Tick issue)
+    {
+        if (bytes == 0) {
+            return issue;
+        }
+        Tick done = issue;
+        for (Addr b = roundDown(addr, 64);
+             b <= roundDown(addr + bytes - 1, 64); b += 64) {
+            done = std::max(done, blockAccess(b, write, issue));
+        }
+        return done;
+    }
+
+    Tick
+    acquireSlot(Tick issue)
+    {
+        while (!outstanding_.empty() && outstanding_.front() <= issue) {
+            outstanding_.pop_front();
+        }
+        while (outstanding_.size() >= entries_) {
+            issue = std::max(issue, outstanding_.front());
+            outstanding_.pop_front();
+        }
+        return issue;
+    }
+
+    Tick
+    blockAccess(Addr block, bool write, Tick issue)
+    {
+        ++requests_;
+        if (!write) {
+            if (const Tick *t = inflight_.find(block); t && *t > issue) {
+                ++coalesced_;
+                return *t;
+            }
+            if (const Tick *t = lineBuffer_.find(block)) {
+                ++coalesced_;
+                return std::max(issue, *t);
+            }
+        }
+        if (tlb_) {
+            issue += tlb_->lookup(block);
+        }
+        issue = acquireSlot(issue);
+        Tick done = dram_->access(block, write, issue).completeTick;
+        outstanding_.push_back(done);
+        if (!write) {
+            inflight_.assign(block, done);
+            if (lineBuffer_.assign(block, done)) {
+                lineFifo_.push_back(block);
+                if (lineFifo_.size() > entries_) {
+                    lineBuffer_.erase(lineFifo_.front());
+                    lineFifo_.pop_front();
+                }
+            }
+            if (inflight_.size() > entries_ * 4) {
+                inflight_.eraseIf([issue](Tick t) { return t <= issue; });
+            }
+        }
+        return done;
+    }
+
+    Dram *dram_;
+    unsigned entries_;
+    Tlb *tlb_;
+    sim::RingQueue<Tick> outstanding_;
+    sim::AddrMap<Tick> inflight_;
+    sim::AddrMap<Tick> lineBuffer_;
+    sim::RingQueue<Addr> lineFifo_;
+    std::uint64_t coalesced_ = 0;
+    std::uint64_t requests_ = 0;
+};
+
+TEST(MaiTest, MatchesTwoTableReferenceOnRandomStreams)
+{
+    std::uint64_t seed = 11;
+    for (unsigned entries : {4u, 7u, 16u, 64u, 256u}) {
+        for (bool with_tlb : {false, true}) {
+            EventQueue eq_a, eq_b;
+            Dram dram_a("a", eq_a), dram_b("b", eq_b);
+            Tlb tlb_a(8, 4096, 120), tlb_b(8, 4096, 120);
+            Mai dut(dram_a, entries, with_tlb ? &tlb_a : nullptr);
+            TwoTableMai ref(dram_b, entries, with_tlb ? &tlb_b : nullptr);
+            Rng rng(seed++);
+            // 16x the line buffer's blocks: buffer hits, evictions,
+            // in-flight joins and the in-flight prune all occur.
+            const Addr span = Addr{entries} * 64 * 16;
+            Tick now = 0;
+            for (int i = 0; i < 40000; ++i) {
+                // Issue ticks drift forward but often step back, as the
+                // SU's discovered references do.
+                now += rng.below(4000);
+                const Tick issue = now - std::min<Tick>(now, rng.below(20000));
+                const Addr addr = 0x40000000 + rng.below(span);
+                const Addr bytes = 1 + rng.below(256);
+                Tick got, want;
+                switch (rng.below(3)) {
+                  case 0:
+                    got = dut.read(addr, bytes, issue);
+                    want = ref.read(addr, bytes, issue);
+                    break;
+                  case 1:
+                    got = dut.write(addr, bytes, issue);
+                    want = ref.write(addr, bytes, issue);
+                    break;
+                  default:
+                    got = dut.atomicRmw(addr, issue);
+                    want = ref.atomicRmw(addr, issue);
+                    break;
+                }
+                ASSERT_EQ(got, want) << "op " << i << ", " << entries
+                                     << " entries, tlb " << with_tlb;
+            }
+            EXPECT_EQ(dut.coalescedHits(), ref.coalescedHits());
+            EXPECT_EQ(dut.requests(), ref.requests());
+            EXPECT_GT(dut.coalescedHits(), 0u);
+        }
+    }
+}
+
 TEST(TlbTest, HitAfterFill)
 {
     Tlb tlb(4, Addr{1} << 30, 100);
@@ -134,6 +291,24 @@ TEST_F(AccelFixture, SuCompletesAndCountsObjects)
     EXPECT_GT(r.done, 1000u);
     EXPECT_GT(r.bytesRead, 255u * 48);
     EXPECT_GT(r.metadataCacheHits, 200u); // one class, hot
+}
+
+TEST_F(AccelFixture, SuCountsOnlyTheGraphRootedMidHeap)
+{
+    // Three disjoint graphs in one heap; the SU walks the middle one.
+    Rng rng(9);
+    Addr before = micro.buildTree(src, 2, 127, rng);
+    Addr root = micro.buildGraph(src, 300, 8, rng);
+    Addr after = micro.buildList(src, 200, rng);
+    const GraphStats gs = GraphWalker(src).stats(root);
+    ASSERT_LT(gs.objectCount, src.objectCount());
+    Mai mai(dram, 64);
+    SerializationUnit su(mai, AccelConfig());
+    auto r = su.serialize(src, root, 0, 0x100'0000'0000ULL);
+    EXPECT_EQ(r.objects, gs.objectCount);
+    EXPECT_EQ(GraphWalker(src).stats(before).objectCount + gs.objectCount +
+                  GraphWalker(src).stats(after).objectCount,
+              src.objectCount());
 }
 
 TEST_F(AccelFixture, SuPipeliningBeatsVanilla)

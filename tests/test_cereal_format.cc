@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "cereal/cereal_serializer.hh"
 #include "cereal/format.hh"
 #include "heap/object.hh"
@@ -484,6 +486,27 @@ TEST_F(CerealRoundTrip, RepeatedSerializationsUseCounter)
         std::string why;
         ASSERT_TRUE(graphEquals(src, root, d, nr, &why)) << why;
     }
+}
+
+TEST_F(CerealRoundTrip, UnitIdWrapDoesNotAliasVisitedMarks)
+{
+    // Unit ids are 8 bits, so serializer #257 gets #1's id again; a
+    // per-serializer counter would also give both first runs counter
+    // 1. On a heap #1 already serialized, #257 must still see no
+    // object as visited and produce the same stream.
+    Rng rng(5);
+    Addr root = micro.buildTree(src, 8, 4681, rng);
+    std::vector<std::unique_ptr<CerealSerializer>> sers;
+    for (int i = 0; i < 257; ++i) {
+        sers.push_back(std::make_unique<CerealSerializer>());
+        sers.back()->registerAll(reg);
+    }
+    ASSERT_EQ(sers.front()->unitId(), sers.back()->unitId());
+    const CerealStream first = sers.front()->serializeToStream(src, root);
+    ASSERT_EQ(first.objectCount, 4681u);
+    const CerealStream again = sers.back()->serializeToStream(src, root);
+    EXPECT_EQ(again.objectCount, first.objectCount);
+    EXPECT_EQ(again.encode(), first.encode());
 }
 
 TEST_F(CerealRoundTrip, TotalGraphBytesMatchesWalkerStats)

@@ -2,13 +2,17 @@
  * @file
  * Unit tests for the JVM heap model: klass registry layout computation,
  * object allocation and header format, field/array accessors, layout
- * bitmaps, and the Cereal header extension.
+ * bitmaps, the Cereal header extension, and the heap-indexed
+ * ObjectTable.
  */
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "heap/heap.hh"
 #include "heap/object.hh"
+#include "heap/object_table.hh"
 
 namespace cereal {
 namespace {
@@ -179,6 +183,74 @@ TEST_F(HeapTest, ClearCerealMetadata)
     heap.clearCerealMetadata();
     EXPECT_EQ(ObjectView(heap, a).extWord(), 0u);
     EXPECT_EQ(ObjectView(heap, b).extWord(), 0u);
+}
+
+TEST_F(HeapTest, CerealCounterIsPerHeapAndClearsOnWrap)
+{
+    Heap other(reg, 0x5'0000'0000ULL);
+    EXPECT_EQ(heap.nextCerealCounter(), 1);
+    EXPECT_EQ(heap.nextCerealCounter(), 2);
+    EXPECT_EQ(other.nextCerealCounter(), 1);
+
+    Addr a = heap.allocateInstance(point);
+    ObjectView(heap, a).setExtWord(extword::make(2, 9, 100));
+    for (int i = 3; i <= 0xffff; ++i) {
+        heap.nextCerealCounter();
+    }
+    EXPECT_EQ(ObjectView(heap, a).extWord(), extword::make(2, 9, 100));
+    // The wrap clears every mark, then restarts the count at 1.
+    EXPECT_EQ(heap.nextCerealCounter(), 1);
+    EXPECT_EQ(ObjectView(heap, a).extWord(), 0u);
+}
+
+TEST(ObjectTableTest, ZeroInitialisedAtNonDefaultBase)
+{
+    KlassRegistry reg;
+    KlassId point = reg.add("Point", {{"x", FieldType::Long}});
+    Heap heap(reg, 0x7'4000'0000ULL);
+    std::vector<Addr> objs;
+    for (int i = 0; i < 1000; ++i) {
+        objs.push_back(heap.allocateInstance(point));
+    }
+    ObjectTable table(heap);
+    for (Addr o : objs) {
+        EXPECT_EQ(table[o], 0u);
+        EXPECT_EQ(table.index(o), (o - heap.base()) / 8);
+    }
+    EXPECT_EQ(table.index(heap.base()), 0u);
+    table[objs[7]] = ObjectTable::entry(41);
+    EXPECT_EQ(table[objs[7]], 42u);
+    EXPECT_EQ(table[objs[6]], 0u);
+    EXPECT_EQ(table[objs[8]], 0u);
+    EXPECT_EQ(ObjectTable::index(heap, objs.back()),
+              table.index(objs.back()));
+
+    // A table of 2 MiB or more takes the huge-page allocation path.
+    Addr big = heap.allocateArray(FieldType::Long, Addr{1} << 20);
+    Addr last = heap.allocateInstance(point);
+    ObjectTable large(heap);
+    EXPECT_EQ(large[big], 0u);
+    EXPECT_EQ(large[last], 0u);
+    large[last] = ObjectTable::entry(7);
+    EXPECT_EQ(large[last], 8u);
+    EXPECT_EQ(large[objs[7]], 0u);
+}
+
+TEST(ObjectTableTest, AddressOutsideTheHeapPanics)
+{
+    KlassRegistry reg;
+    KlassId point = reg.add("Point", {{"x", FieldType::Long}});
+    Heap heap(reg, 0x7'4000'0000ULL);
+    Addr a = heap.allocateInstance(point);
+    ObjectTable table(heap);
+    EXPECT_DEATH(table[heap.base() - 8], "outside the heap");
+    EXPECT_DEATH(table[heap.top()], "outside the heap");
+    EXPECT_DEATH(table[a + 4], "outside the heap");
+    // The arena is captured at construction: later objects are outside.
+    Addr b = heap.allocateInstance(point);
+    EXPECT_DEATH(table[b], "outside the heap");
+    EXPECT_DEATH(ObjectTable::index(heap, heap.top()), "outside the heap");
+    EXPECT_DEATH(ObjectTable::entry(0xffffffffULL), "exceeds 32 bits");
 }
 
 TEST_F(HeapTest, OutOfBoundsAccessPanics)

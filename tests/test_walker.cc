@@ -344,6 +344,48 @@ TEST_F(GraphEqualsTest, PrimitiveArrayMismatchNamesFirstIndex)
     }
 }
 
+TEST_F(GraphEqualsTest, HeapsAtDifferentBasesAndSizes)
+{
+    // Heap b sits elsewhere and holds more than a: unrelated objects
+    // before and after its copy of the graph.
+    Heap big(reg, 0x33'0000'0000ULL);
+    Rng junk(11);
+    micro.buildGraph(big, 300, 6, junk);
+    Rng r1(7), r2(7);
+    Addr ra = micro.buildGraph(a, 64, 8, r1);
+    Addr rb = micro.buildGraph(big, 64, 8, r2);
+    micro.buildGraph(big, 300, 6, junk);
+    ASSERT_GT(big.usedBytes(), 4 * a.usedBytes());
+    std::string why;
+    EXPECT_TRUE(graphEquals(a, ra, big, rb, &why)) << why;
+    EXPECT_TRUE(graphEquals(big, rb, a, ra, &why)) << why;
+
+    // Aliasing still compares counterparts: a shared leaf in a, two
+    // equal leaves in the larger heap.
+    KlassId pair = reg.add("Pair3", {{"x", FieldType::Reference},
+                                     {"y", FieldType::Reference}});
+    KlassId leafk = reg.add("Leaf3", {{"v", FieldType::Long}});
+    Addr leaf_a = a.allocateInstance(leafk);
+    Addr root_a = a.allocateInstance(pair);
+    ObjectView(a, root_a).setRef(0, leaf_a);
+    ObjectView(a, root_a).setRef(1, leaf_a);
+    Addr root_b = big.allocateInstance(pair);
+    ObjectView(big, root_b).setRef(0, big.allocateInstance(leafk));
+    ObjectView(big, root_b).setRef(1, big.allocateInstance(leafk));
+    EXPECT_FALSE(graphEquals(a, root_a, big, root_b, &why));
+    EXPECT_EQ(why, "sharing (aliasing) structure mismatch");
+}
+
+TEST_F(GraphEqualsTest, CounterpartOutsideHeapBPanics)
+{
+    Rng r1(5), r2(5);
+    Addr ra = micro.buildList(a, 3, r1);
+    Addr rb = micro.buildList(b, 3, r2);
+    // A root "in b" that is really one of a's objects.
+    EXPECT_DEATH(graphEquals(a, ra, b, ra), "outside the heap");
+    EXPECT_TRUE(graphEquals(a, ra, b, rb));
+}
+
 TEST_F(GraphEqualsTest, EqualAcrossRegistries)
 {
     // A second registry with the same class names, registered in
