@@ -3,6 +3,7 @@
 #include <atomic>
 
 #include "heap/object.hh"
+#include "heap/walker.hh"
 #include "serde/decode_error.hh"
 #include "sim/flat.hh"
 #include "sim/logging.hh"
@@ -185,15 +186,12 @@ CerealSerializer::deserializeStream(const CerealStream &s, Heap &dst)
     const auto &reg = dst.registry();
     const unsigned header_slots = reg.headerSlots();
 
-    // Reference tokens are recorded here and resolved after the layout
-    // pass, so each one can be checked against the set of real object
-    // starts instead of trusted to land on one.
-    struct RefPatch
-    {
-        Addr at; // graph-relative offset of the slot
-        std::uint64_t token;
-    };
-    std::vector<RefPatch> patches;
+    // Reference tokens stay in their slots through the layout pass and
+    // are resolved in place after it, so each one can be checked
+    // against the set of real object starts instead of trusted to land
+    // on one. The objects this call reconstructs are the heap's from
+    // index `first` on.
+    const std::size_t first = dst.objectCount();
     // Bit k set iff an object starts at graph offset 8k.
     std::vector<std::uint64_t> starts((s.totalGraphBytes / 8 + 63) / 64);
     std::uint64_t refs_used = 0;
@@ -223,12 +221,8 @@ CerealSerializer::deserializeStream(const CerealStream &s, Heap &dst)
             const Addr at = off + Addr{slot} * 8;
             std::uint64_t word;
             if (slot >= header_slots && bitmap[slot]) {
-                std::uint64_t token = refs.nextValue();
+                word = refs.nextValue(); // resolved below
                 ++refs_used;
-                word = 0; // patched below for non-null tokens
-                if (token != kNullRefToken) {
-                    patches.push_back({at, token});
-                }
             } else if (slot == 0) {
                 // Mark word: from the stream, or regenerated when the
                 // sender stripped headers.
@@ -327,20 +321,27 @@ CerealSerializer::deserializeStream(const CerealStream &s, Heap &dst)
                  (unsigned long long)refs_used,
                  (unsigned long long)s.refEntries);
 
-    for (const auto &p : patches) {
+    // Every object's layout now agrees with its stream bitmap, so its
+    // class layout names exactly the slots that hold tokens.
+    forEachRefSlot(dst, first, [&](Addr slot_addr) {
+        const std::uint64_t token = dst.load64(slot_addr);
+        if (token == kNullRefToken) {
+            return;
+        }
+        const Addr at = slot_addr - base;
         // token - 1 is a slot index; bound it before decodeRelRef's
         // * 8 can wrap.
-        decode_check(p.token - 1 < Addr{s.totalGraphBytes} / 8,
-                     DecodeStatus::BadHandle, p.at,
+        decode_check(token - 1 < Addr{s.totalGraphBytes} / 8,
+                     DecodeStatus::BadHandle, at,
                      "reference token %llu outside graph",
-                     (unsigned long long)p.token);
-        Addr rel = decodeRelRef(p.token);
+                     (unsigned long long)token);
+        Addr rel = decodeRelRef(token);
         decode_check((starts[rel / 512] >> (rel / 8 % 64)) & 1,
-                     DecodeStatus::BadHandle, p.at,
+                     DecodeStatus::BadHandle, at,
                      "reference target +%llu is not an object start",
                      (unsigned long long)rel);
-        dst.store64(base + p.at, base + rel);
-    }
+        dst.store64(slot_addr, base + rel);
+    });
     return base;
 }
 

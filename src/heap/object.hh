@@ -5,6 +5,9 @@
  * ObjectView is a (heap, address) pair with field accessors; it performs
  * the slot arithmetic that HotSpot's field offsets would provide, and it
  * exposes the mark word and Cereal extension word for the serializers.
+ * It reads the object's klass pointer once, at construction, so it must
+ * be built on a fully formed object (header written) and the accessors
+ * pay no class lookup per field or element.
  */
 
 #ifndef CEREAL_HEAP_OBJECT_HH
@@ -21,16 +24,24 @@ namespace cereal {
 class ObjectView
 {
   public:
-    ObjectView(Heap &heap, Addr addr) : heap_(&heap), addr_(addr) {}
+    ObjectView(Heap &heap, Addr addr)
+        : heap_(&heap), addr_(addr), id_(heap.klassOf(addr)),
+          elemBytes_(fieldTypeBytes(klass().elemType()))
+    {
+    }
 
     Addr addr() const { return addr_; }
     Heap &heap() const { return *heap_; }
-    KlassId klassId() const { return heap_->klassOf(addr_); }
+    KlassId klassId() const { return id_; }
 
+    /**
+     * The object's class. Looked up by id on each call rather than
+     * held: registering a class may move the registry's descriptors.
+     */
     const KlassDescriptor &
     klass() const
     {
-        return heap_->registry().klass(klassId());
+        return heap_->registry().klass(id_);
     }
 
     bool isArray() const { return klass().isArray(); }
@@ -66,8 +77,7 @@ class ObjectView
     Addr
     fieldAddr(std::uint32_t idx) const
     {
-        return addr_ +
-               Addr{heap_->registry().fieldSlot(klassId(), idx)} * 8;
+        return addr_ + Addr{heap_->registry().fieldSlot(id_, idx)} * 8;
     }
 
     /** Raw 8 B slot value of field @p idx. */
@@ -137,9 +147,8 @@ class ObjectView
     Addr
     elemAddr(std::uint64_t i) const
     {
-        const auto &reg = heap_->registry();
-        const unsigned esz = fieldTypeBytes(klass().elemType());
-        return addr_ + Addr{reg.arrayDataSlot()} * 8 + i * esz;
+        return addr_ + Addr{heap_->registry().arrayDataSlot()} * 8 +
+               i * elemBytes_;
     }
 
     /** Reference array element (refs occupy full 8 B slots). */
@@ -159,22 +168,23 @@ class ObjectView
     std::uint64_t
     getElem(std::uint64_t i) const
     {
-        const unsigned esz = fieldTypeBytes(klass().elemType());
         std::uint64_t v = 0;
-        heap_->loadBytes(elemAddr(i), &v, esz);
+        heap_->loadBytes(elemAddr(i), &v, elemBytes_);
         return v;
     }
 
     void
     setElem(std::uint64_t i, std::uint64_t v)
     {
-        const unsigned esz = fieldTypeBytes(klass().elemType());
-        heap_->storeBytes(elemAddr(i), &v, esz);
+        heap_->storeBytes(elemAddr(i), &v, elemBytes_);
     }
 
   private:
     Heap *heap_;
     Addr addr_;
+    KlassId id_;
+    /** Bytes per array element (8 for an instance, unused). */
+    unsigned elemBytes_;
 };
 
 } // namespace cereal

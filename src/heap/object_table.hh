@@ -21,7 +21,6 @@
 #define CEREAL_HEAP_OBJECT_TABLE_HH
 
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 
 #include "heap/heap.hh"
@@ -68,9 +67,6 @@ class ObjectTable
   private:
     static constexpr std::uint64_t kMaxEntry = 0xffffffffULL;
 
-    /** @p n zeroed entries. */
-    static std::uint32_t *allocate(std::size_t n);
-
     static std::uint32_t
     slotIndex(Addr base, Addr bytes, Addr obj)
     {
@@ -83,14 +79,9 @@ class ObjectTable
         return static_cast<std::uint32_t>(off / 8);
     }
 
-    struct Free
-    {
-        void operator()(std::uint32_t *p) const { std::free(p); }
-    };
-
     Addr base_;
     Addr bytes_;
-    std::unique_ptr<std::uint32_t[], Free> slots_;
+    std::unique_ptr<std::uint32_t[], sim::Free> slots_;
 };
 
 } // namespace cereal

@@ -22,11 +22,15 @@ struct Resolved
     Addr bytes;
     /** Element count of an array; field count of an instance. */
     std::uint64_t count;
+    /** Simulated address of the first element or field. */
+    Addr bodyAt;
     /**
      * Host bytes of the elements (array) or of the fields, one 8 B slot
      * each in declaration order (instance).
      */
     const std::uint8_t *body;
+
+    RefSlots refs() const { return RefSlots(*klass, bodyAt, count); }
 };
 
 Resolved
@@ -38,13 +42,13 @@ resolve(const Heap &heap, Addr obj)
     if (d.isArray()) {
         const std::uint64_t n =
             heap.load64(obj + Addr{reg.arrayLengthSlot()} * 8);
-        return {&d, Addr{reg.arraySlots(id, n)} * 8, n,
-                heap.view(obj + Addr{reg.arrayDataSlot()} * 8,
-                          n * fieldTypeBytes(d.elemType()))};
+        const Addr at = obj + Addr{reg.arrayDataSlot()} * 8;
+        return {&d, Addr{reg.arraySlots(id, n)} * 8, n, at,
+                heap.view(at, n * fieldTypeBytes(d.elemType()))};
     }
-    return {&d, Addr{reg.instanceSlots(id)} * 8, d.numFields(),
-            heap.view(obj + Addr{reg.fieldSlot(id, 0)} * 8,
-                      Addr{d.numFields()} * 8)};
+    const Addr at = obj + Addr{reg.fieldSlot(id, 0)} * 8;
+    return {&d, Addr{reg.instanceSlots(id)} * 8, d.numFields(), at,
+            heap.view(at, Addr{d.numFields()} * 8)};
 }
 
 /** The 8 B slot @p i of @p body. */
@@ -60,16 +64,9 @@ slot(const std::uint8_t *body, std::uint64_t i)
 void
 collectRefs(const Resolved &r, std::vector<Addr> &out)
 {
-    if (r.klass->isArray()) {
-        if (r.klass->elemType() == FieldType::Reference) {
-            for (std::uint64_t i = 0; i < r.count; ++i) {
-                out.push_back(slot(r.body, i));
-            }
-        }
-        return;
-    }
-    for (std::uint32_t fi : r.klass->refFields()) {
-        out.push_back(slot(r.body, fi));
+    const RefSlots refs = r.refs();
+    for (std::uint64_t i = 0; i < refs.size(); ++i) {
+        out.push_back(slot(r.body, refs.index(i)));
     }
 }
 
@@ -108,6 +105,11 @@ class ObjectSet
 };
 
 } // namespace
+
+RefSlots::RefSlots(const Heap &heap, Addr obj)
+    : RefSlots(resolve(heap, obj).refs())
+{
+}
 
 void
 GraphWalker::walk(Addr root, const std::function<void(Addr)> &visit) const

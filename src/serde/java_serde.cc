@@ -5,6 +5,7 @@
 
 #include "heap/object.hh"
 #include "heap/object_table.hh"
+#include "heap/walker.hh"
 #include "serde/bytes.hh"
 #include "sim/logging.hh"
 
@@ -222,14 +223,10 @@ JavaSerializer::deserialize(const std::vector<std::uint8_t> &stream,
     decode_check(r.u32() == kMagic, DecodeStatus::BadMagic, 0,
                  "bad Java stream magic");
 
-    std::vector<Addr> handles;
+    // Object handle h is the heap's object first + h: each record
+    // allocates exactly one object.
+    const std::size_t first = dst.objectCount();
     std::vector<KlassId> class_handles;
-    struct Patch
-    {
-        Addr slotAddr;
-        std::uint32_t handle;
-    };
-    std::vector<Patch> patches;
 
     auto read_classdesc = [&]() -> KlassId {
         setPhase(sink, "metadata");
@@ -313,13 +310,12 @@ JavaSerializer::deserialize(const std::vector<std::uint8_t> &stream,
             if (sink) {
                 sink->store(obj, 24);
             }
-            handles.push_back(obj);
             ObjectView v(dst, obj);
             if (d.elemType() == FieldType::Reference) {
+                // Handles stay in their slots until the resolve pass.
                 for (std::uint32_t i = 0; i < n; ++i) {
                     charge(sink, costs_.perElement);
-                    std::uint32_t h = r.u32();
-                    patches.push_back({v.elemAddr(i), h});
+                    v.setRefElem(i, r.u32());
                 }
             } else {
                 const unsigned esz = fieldTypeBytes(d.elemType());
@@ -348,15 +344,13 @@ JavaSerializer::deserialize(const std::vector<std::uint8_t> &stream,
         if (sink) {
             sink->store(obj, 16);
         }
-        handles.push_back(obj);
         ObjectView v(dst, obj);
         for (std::uint32_t i = 0; i < d.numFields(); ++i) {
             const auto &f = d.fields()[i];
             charge(sink, costs_.deserPerField + costs_.reflectSet +
                              costs_.stringOpPerByte * f.name.size());
             if (f.type == FieldType::Reference) {
-                std::uint32_t h = r.u32();
-                patches.push_back({v.fieldAddr(i), h});
+                v.setRef(i, r.u32());
             } else {
                 std::uint64_t raw = 0;
                 r.raw(&raw, fieldTypeBytes(f.type));
@@ -369,26 +363,27 @@ JavaSerializer::deserialize(const std::vector<std::uint8_t> &stream,
     }
 
     // Resolve forward references now that every handle has an address.
+    const std::size_t decoded = dst.objectCount() - first;
     setPhase(sink, "patch");
-    for (const auto &p : patches) {
+    forEachRefSlot(dst, first, [&](Addr at) {
         charge(sink, 4);
+        const std::uint64_t h = dst.load64(at);
         Addr target = 0;
-        if (p.handle != kNullHandle) {
-            decode_check(p.handle < handles.size(),
-                         DecodeStatus::BadHandle, r.pos(),
+        if (h != kNullHandle) {
+            decode_check(h < decoded, DecodeStatus::BadHandle, r.pos(),
                          "object handle %u out of range (%zu objects)",
-                         p.handle, handles.size());
-            target = handles[p.handle];
+                         static_cast<std::uint32_t>(h), decoded);
+            target = dst.objects()[first + h];
         }
-        dst.store64(p.slotAddr, target);
+        dst.store64(at, target);
         if (sink) {
-            sink->store(p.slotAddr, 8);
+            sink->store(at, 8);
         }
-    }
+    });
 
-    decode_check(!handles.empty(), DecodeStatus::Malformed, r.pos(),
+    decode_check(decoded != 0, DecodeStatus::Malformed, r.pos(),
                  "empty Java stream (no object records)");
-    return handles[0];
+    return dst.objects()[first];
 }
 
 } // namespace cereal

@@ -4,6 +4,7 @@
 
 #include "heap/object.hh"
 #include "heap/object_table.hh"
+#include "heap/walker.hh"
 #include "serde/bytes.hh"
 #include "sim/logging.hh"
 
@@ -200,13 +201,9 @@ KryoSerializer::deserialize(const std::vector<std::uint8_t> &stream,
     decode_check(r.u32() == kMagic, DecodeStatus::BadMagic, 0,
                  "bad Kryo stream magic");
 
-    std::vector<Addr> handles;
-    struct Patch
-    {
-        Addr slotAddr;
-        std::uint64_t token;
-    };
-    std::vector<Patch> patches;
+    // Handle h is the heap's object first + h: each record allocates
+    // exactly one object.
+    const std::size_t first = dst.objectCount();
 
     while (!r.done()) {
         setPhase(sink, "walk");
@@ -246,12 +243,12 @@ KryoSerializer::deserialize(const std::vector<std::uint8_t> &stream,
             if (sink) {
                 sink->store(obj, 24);
             }
-            handles.push_back(obj);
             ObjectView v(dst, obj);
             if (d.elemType() == FieldType::Reference) {
+                // Tokens stay in their slots until the resolve pass.
                 for (std::uint64_t i = 0; i < n; ++i) {
                     charge(sink, costs_.varint);
-                    patches.push_back({v.elemAddr(i), r.varint()});
+                    v.setRefElem(i, r.varint());
                 }
             } else {
                 const unsigned esz = fieldTypeBytes(d.elemType());
@@ -279,7 +276,6 @@ KryoSerializer::deserialize(const std::vector<std::uint8_t> &stream,
         if (sink) {
             sink->store(obj, 16);
         }
-        handles.push_back(obj);
         ObjectView v(dst, obj);
         for (std::uint32_t i = 0; i < d.numFields(); ++i) {
             const auto &f = d.fields()[i];
@@ -287,7 +283,7 @@ KryoSerializer::deserialize(const std::vector<std::uint8_t> &stream,
             switch (f.type) {
               case FieldType::Reference:
                 charge(sink, costs_.varint);
-                patches.push_back({v.fieldAddr(i), r.varint()});
+                v.setRef(i, r.varint());
                 break;
               case FieldType::Int:
               case FieldType::Long:
@@ -308,26 +304,28 @@ KryoSerializer::deserialize(const std::vector<std::uint8_t> &stream,
         }
     }
 
+    const std::size_t decoded = dst.objectCount() - first;
     setPhase(sink, "patch");
-    for (const auto &p : patches) {
+    forEachRefSlot(dst, first, [&](Addr at) {
         charge(sink, 3);
+        const std::uint64_t token = dst.load64(at);
         Addr target = 0;
-        if (p.token != kNullRef) {
-            decode_check(p.token - 1 < handles.size(),
-                         DecodeStatus::BadHandle, r.pos(),
+        if (token != kNullRef) {
+            decode_check(token - 1 < decoded, DecodeStatus::BadHandle,
+                         r.pos(),
                          "Kryo ref token %llu out of range (%zu objects)",
-                         (unsigned long long)p.token, handles.size());
-            target = handles[p.token - 1];
+                         (unsigned long long)token, decoded);
+            target = dst.objects()[first + token - 1];
         }
-        dst.store64(p.slotAddr, target);
+        dst.store64(at, target);
         if (sink) {
-            sink->store(p.slotAddr, 8);
+            sink->store(at, 8);
         }
-    }
+    });
 
-    decode_check(!handles.empty(), DecodeStatus::Malformed, r.pos(),
+    decode_check(decoded != 0, DecodeStatus::Malformed, r.pos(),
                  "empty Kryo stream (no object records)");
-    return handles[0];
+    return dst.objects()[first];
 }
 
 } // namespace cereal

@@ -4,6 +4,7 @@
 
 #include "heap/object.hh"
 #include "heap/object_table.hh"
+#include "heap/walker.hh"
 #include "serde/bytes.hh"
 #include "sim/logging.hh"
 
@@ -154,13 +155,9 @@ PlaincodeSerializer::deserialize(const std::vector<std::uint8_t> &stream,
     decode_check(r.u32() == kMagic, DecodeStatus::BadMagic, 0,
                  "bad plaincode stream magic");
 
-    std::vector<Addr> handles;
-    struct Patch
-    {
-        Addr slotAddr;
-        std::uint64_t token;
-    };
-    std::vector<Patch> patches;
+    // Handle h is the heap's object first + h: each record allocates
+    // exactly one object.
+    const std::size_t first = dst.objectCount();
 
     while (!r.done()) {
         setPhase(sink, "walk");
@@ -195,12 +192,12 @@ PlaincodeSerializer::deserialize(const std::vector<std::uint8_t> &stream,
             if (sink) {
                 sink->store(obj, 24);
             }
-            handles.push_back(obj);
             ObjectView v(dst, obj);
             if (d.elemType() == FieldType::Reference) {
+                // Tokens stay in their slots until the resolve pass.
                 for (std::uint64_t i = 0; i < n; ++i) {
                     charge(sink, costs_.fieldSet);
-                    patches.push_back({v.elemAddr(i), r.varint()});
+                    v.setRefElem(i, r.varint());
                 }
             } else {
                 const unsigned esz = fieldTypeBytes(d.elemType());
@@ -228,13 +225,12 @@ PlaincodeSerializer::deserialize(const std::vector<std::uint8_t> &stream,
         if (sink) {
             sink->store(obj, 16);
         }
-        handles.push_back(obj);
         ObjectView v(dst, obj);
         for (std::uint32_t i = 0; i < d.numFields(); ++i) {
             const auto &f = d.fields()[i];
             charge(sink, costs_.fieldSet);
             if (f.type == FieldType::Reference) {
-                patches.push_back({v.fieldAddr(i), r.varint()});
+                v.setRef(i, r.varint());
             } else {
                 std::uint64_t raw = 0;
                 r.raw(&raw, fieldTypeBytes(f.type));
@@ -246,27 +242,29 @@ PlaincodeSerializer::deserialize(const std::vector<std::uint8_t> &stream,
         }
     }
 
+    const std::size_t decoded = dst.objectCount() - first;
     setPhase(sink, "patch");
-    for (const auto &p : patches) {
+    forEachRefSlot(dst, first, [&](Addr at) {
         charge(sink, 2);
+        const std::uint64_t token = dst.load64(at);
         Addr target = 0;
-        if (p.token != kNullRef) {
-            decode_check(p.token - 1 < handles.size(),
-                         DecodeStatus::BadHandle, r.pos(),
+        if (token != kNullRef) {
+            decode_check(token - 1 < decoded, DecodeStatus::BadHandle,
+                         r.pos(),
                          "plaincode ref token %llu out of range "
                          "(%zu objects)",
-                         (unsigned long long)p.token, handles.size());
-            target = handles[p.token - 1];
+                         (unsigned long long)token, decoded);
+            target = dst.objects()[first + token - 1];
         }
-        dst.store64(p.slotAddr, target);
+        dst.store64(at, target);
         if (sink) {
-            sink->store(p.slotAddr, 8);
+            sink->store(at, 8);
         }
-    }
+    });
 
-    decode_check(!handles.empty(), DecodeStatus::Malformed, r.pos(),
+    decode_check(decoded != 0, DecodeStatus::Malformed, r.pos(),
                  "empty plaincode stream (no object records)");
-    return handles[0];
+    return dst.objects()[first];
 }
 
 } // namespace cereal

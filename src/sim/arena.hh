@@ -9,9 +9,11 @@
  *    (the cluster fabric's frame bytes), keeping their capacity alive
  *    across acquire/release cycles.
  *  - ContiguousBuffer: a geometrically growing flat byte buffer for the
- *    modeled heap's backing store. Unlike std::vector it exposes
- *    claimZeroed() so only the bytes actually handed out are zeroed,
- *    and growth keeps the base pointer semantics the Heap needs.
+ *    modeled heap's backing store. Its blocks come zeroed from
+ *    zeroedAlloc(), so claiming bytes writes nothing, and growth keeps
+ *    the base pointer semantics the Heap needs.
+ *  - zeroedAlloc(): the calloc (plus huge-page hint) behind
+ *    ContiguousBuffer and the heap's ObjectTable.
  *
  * Everything here is single-threaded by design, like the EventQueue:
  * one simulated machine lives on one host thread; concurrent sweep
@@ -23,8 +25,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <new>
 #include <utility>
 #include <vector>
 
@@ -66,6 +70,22 @@ unpoison(void *p, std::size_t n)
     (void)n;
 #endif
 }
+
+/**
+ * @p bytes of zeroed memory, or nullptr; release it with std::free
+ * (or a Free deleter). A block above glibc's mmap threshold comes
+ * straight from fresh zero pages, so bytes never written are never
+ * faulted in. A block of 2 MiB or more is also advised MADV_HUGEPAGE
+ * where the platform defines it, so a pass over all of it faults once
+ * per 2 MiB instead of once per 4 KiB.
+ */
+void *zeroedAlloc(std::size_t bytes);
+
+/** unique_ptr deleter for zeroedAlloc() blocks. */
+struct Free
+{
+    void operator()(void *p) const { std::free(p); }
+};
 
 /**
  * Recycler for byte-vector payload buffers (frame bytes on the cluster
@@ -123,11 +143,12 @@ class BufferPool
  *
  * The Heap needs one contiguous host block (simulated addresses map to
  * base + offset), bump allocation, and zeroed object memory. A
- * std::vector delivers that but zero-fills every grown element and
- * re-zeroes nothing on reuse; this class only zeroes the spans actually
- * claimed, keeps growth amortized, and poisons the unclaimed tail under
- * ASan so out-of-bounds reads of not-yet-allocated heap words are
- * caught in sanitizer runs.
+ * std::vector delivers that but zero-fills every grown element. Here
+ * each block comes from zeroedAlloc(), growth copies only the claimed
+ * bytes, and claiming writes nothing: no byte past size() is ever
+ * written, so the unclaimed tail is still zero when it is claimed.
+ * Under ASan that tail is poisoned, which both catches out-of-bounds
+ * reads of not-yet-allocated heap words and keeps it unwritten.
  */
 class ContiguousBuffer
 {
@@ -150,9 +171,9 @@ class ContiguousBuffer
     }
 
     /**
-     * Extend the claimed region to @p bytes (monotonic), zeroing any
-     * newly claimed span. Growth preserves existing contents; the base
-     * pointer may move (callers index relative to data()).
+     * Extend the claimed region to @p bytes (monotonic); the newly
+     * claimed span reads zero. Growth preserves existing contents; the
+     * base pointer may move (callers index relative to data()).
      */
     void
     claimZeroed(std::size_t bytes)
@@ -168,7 +189,6 @@ class ContiguousBuffer
             grow(cap);
         }
         unpoison(data_.get() + size_, bytes - size_);
-        std::memset(data_.get() + size_, 0, bytes - size_);
         size_ = bytes;
     }
 
@@ -185,7 +205,11 @@ class ContiguousBuffer
     void
     grow(std::size_t cap)
     {
-        auto fresh = std::make_unique<std::uint8_t[]>(cap);
+        std::unique_ptr<std::uint8_t[], Free> fresh(
+            static_cast<std::uint8_t *>(zeroedAlloc(cap)));
+        if (!fresh) {
+            throw std::bad_alloc();
+        }
         if (size_) {
             std::memcpy(fresh.get(), data_.get(), size_);
         }
@@ -197,7 +221,7 @@ class ContiguousBuffer
         poison(data_.get() + size_, capacity_ - size_);
     }
 
-    std::unique_ptr<std::uint8_t[]> data_;
+    std::unique_ptr<std::uint8_t[], Free> data_;
     std::size_t size_ = 0;
     std::size_t capacity_ = 0;
 };

@@ -28,8 +28,10 @@
 #include "cluster/frame.hh"
 #include "fuzz/fuzzer.hh"
 #include "heap/heap.hh"
+#include "heap/object.hh"
 #include "serde/bytes.hh"
 #include "serde/decode_error.hh"
+#include "serde/registry.hh"
 
 namespace cereal {
 namespace {
@@ -235,6 +237,17 @@ TEST_F(DecodeErrors, JavaClassdescHandleOutOfRangeIsBadHandle)
     expectStatus("java", b, DecodeStatus::BadHandle);
 }
 
+TEST_F(DecodeErrors, JavaObjectHandleOutOfRangeIsBadHandle)
+{
+    Bytes b = golden("java");
+    // The root Pair's fields: a = handle 1 (n1), b = handle 2 (the
+    // int[3]), tag = 0x7f.
+    std::size_t at =
+        offsetOf(b, {1, 0, 0, 0, 2, 0, 0, 0, 0x7f, 0, 0, 0});
+    b[at] = 0x63; // object handle 0x63: the stream carries four objects
+    expectStatus("java", b, DecodeStatus::BadHandle);
+}
+
 TEST_F(DecodeErrors, JavaUnknownClassNameIsBadClass)
 {
     Bytes b = golden("java");
@@ -268,6 +281,57 @@ TEST_F(DecodeErrors, KryoHugeArrayLengthIsBadLength)
     std::size_t at = offsetOf(b, {2, 0, 0, 0, 3}) + 4;
     b[at] = 0x7f; // 127 elements * 4 B each cannot fit in what's left
     expectStatus("kryo", b, DecodeStatus::BadLength);
+}
+
+TEST_F(DecodeErrors, KryoRefTokenOutOfRangeIsBadHandle)
+{
+    Bytes b = golden("kryo");
+    // Root record: u32 class id at 4, null-check byte at 8, then field
+    // `a` as a varint token (handle + 1).
+    ASSERT_EQ(b[8], 1);
+    ASSERT_EQ(b[9], 2); // token 2 = handle 1 (n1)
+    b[9] = 0x7f;        // handle 126: the stream carries four objects
+    expectStatus("kryo", b, DecodeStatus::BadHandle);
+}
+
+TEST_F(DecodeErrors, RefArrayElementOutOfRangeIsBadHandle)
+{
+    // The golden graph has no reference array, so build one: a root
+    // Object[2] holding two Nodes. Each handle-numbered decoder gets
+    // its stream with element 1's handle out of range.
+    KlassRegistry reg;
+    const KlassId node = reg.add(
+        "Node", {{"value", FieldType::Long}, {"next", FieldType::Reference}});
+    Heap src(reg);
+    const Addr n1 = src.allocateInstance(node);
+    const Addr n2 = src.allocateInstance(node);
+    const Addr arr = src.allocateArray(FieldType::Reference, 2);
+    ObjectView(src, arr).setRefElem(0, n1);
+    ObjectView(src, arr).setRefElem(1, n2);
+
+    // Element 1's handle or token. java: u32 length 2, then u32
+    // handles 1 and 2. kryo: magic, u32 class id, length varint 2,
+    // then varint tokens 2 and 3 (handle + 1). plaincode: magic, class
+    // id varint, length varint 2, then tokens 2 and 3.
+    for (const std::string format : {"java", "kryo", "plaincode"}) {
+        auto ser = serde::makeSerializer(format, &reg);
+        Bytes b = ser->serialize(src, arr);
+        const bool java = format == "java";
+        const std::size_t at =
+            java ? offsetOf(b, {2, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0}) + 8
+                 : format == "kryo" ? 10 : 7;
+        ASSERT_EQ(b[at], java ? 2 : 3) << format;
+        {
+            Heap dst(reg, kTestHeapBase);
+            ASSERT_TRUE(ser->tryDeserialize(b, dst).ok()) << format;
+        }
+        b[at] = 0x63; // the stream carries three objects
+        Heap dst(reg, kTestHeapBase);
+        auto res = ser->tryDeserialize(b, dst);
+        ASSERT_FALSE(res.ok()) << format << ": decode unexpectedly ok";
+        EXPECT_EQ(res.error().status(), DecodeStatus::BadHandle)
+            << format << ": " << res.error().what();
+    }
 }
 
 TEST_F(DecodeErrors, SkywayHugeDataSectionIsBadLength)

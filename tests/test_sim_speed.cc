@@ -6,8 +6,9 @@
  *    zeroing, growth).
  *  - A global-operator-new counting proof that the hot event loop
  *    allocates zero bytes per event (same technique as test_trace's
- *    null-sink guarantee), and that Cereal serialization, functional
- *    and accelerator model, allocates nothing per object.
+ *    null-sink guarantee), that Cereal serialization, functional
+ *    and accelerator model, allocates nothing per object, and that
+ *    deserialization keeps no side table per reference.
  *  - Dram::accessRange batched fast path vs the per-burst access()
  *    loop: identical completion ticks, counters, latency accounting,
  *    and bank/bus state.
@@ -20,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
@@ -29,8 +31,10 @@
 #include "cereal/accel/device.hh"
 #include "cereal/cereal_serializer.hh"
 #include "cluster/cluster.hh"
+#include "heap/walker.hh"
 #include "mem/dram.hh"
 #include "serde/java_serde.hh"
+#include "serde/registry.hh"
 #include "sim/arena.hh"
 #include "sim/event_queue.hh"
 #include "workloads/harness.hh"
@@ -47,12 +51,14 @@
 
 namespace {
 std::atomic<std::uint64_t> g_allocCount{0};
+std::atomic<std::uint64_t> g_allocBytes{0};
 } // namespace
 
 void *
 operator new(std::size_t size)
 {
     ++g_allocCount;
+    g_allocBytes += size;
     if (void *p = std::malloc(size ? size : 1)) {
         return p;
     }
@@ -116,6 +122,20 @@ TEST(ContiguousBuffer, ZeroesClaimsAndPreservesAcrossGrowth)
     for (std::size_t i = 48; i < (1 << 20); i += 4096) {
         ASSERT_EQ(buf.data()[i], 0u);
     }
+    // Write up to the old end, then grow into a block of 2 MiB or more
+    // (the huge-page path): every old byte survives and the newly
+    // claimed span reads zero, though claiming writes nothing.
+    const std::size_t old_end = buf.size();
+    std::memset(buf.data(), 0xC3, old_end);
+    const std::size_t big = std::size_t{3} << 20;
+    buf.claimZeroed(big);
+    ASSERT_GE(buf.capacity(), std::size_t{2} << 20);
+    ASSERT_EQ(buf.size(), big);
+    EXPECT_TRUE(std::all_of(buf.data(), buf.data() + old_end,
+                            [](std::uint8_t b) { return b == 0xC3; }));
+    EXPECT_TRUE(std::all_of(buf.data() + old_end, buf.data() + big,
+                            [](std::uint8_t b) { return b == 0; }));
+
     // Monotonic: shrinking claims are no-ops.
     const std::size_t size = buf.size();
     buf.claimZeroed(100);
@@ -208,6 +228,47 @@ TEST(CerealHotPath, AllocationsDoNotGrowWithObjectCount)
     EXPECT_LE(large.device, small.device + 24)
         << small.device << " -> " << large.device << " for "
         << small.objects << " -> " << large.objects << " objects";
+}
+
+// ------------------------------ in-place reference resolution
+
+TEST(DecodeHotPath, NoSideTablePerReference)
+{
+    // TreeWide: 8 reference slots per object. A decoder that buffers a
+    // 16 B fix-up entry per reference requests at least 128 B per
+    // object, and more as its vector doubles. Resolving in place leaves the
+    // destination heap's object list (8 B per object, grown by
+    // doubling: at most 32 B per object requested) plus per-class and
+    // per-call state; the arena itself comes from calloc.
+    constexpr std::uint64_t kMaxBytesPerObject = 40;
+    KlassRegistry reg;
+    workloads::MicroWorkloads micro(reg);
+    Heap src(reg);
+    const Addr root =
+        micro.build(src, workloads::MicroBench::TreeWide, 512, 42);
+
+    auto check = [&](const char *name, const auto &decode) {
+        Heap dst(reg, 0x9'0000'0000ULL);
+        const std::uint64_t before = g_allocBytes.load();
+        const Addr out = decode(dst);
+        const std::uint64_t bytes = g_allocBytes.load() - before;
+        ASSERT_TRUE(graphEquals(src, root, dst, out)) << name;
+        EXPECT_LE(bytes, kMaxBytesPerObject * dst.objectCount())
+            << name << ": " << bytes << " B requested for "
+            << dst.objectCount() << " objects";
+    };
+
+    for (const char *name : {"java", "kryo", "plaincode"}) {
+        auto ser = serde::makeSerializer(name, &reg);
+        const std::vector<std::uint8_t> stream = ser->serialize(src, root);
+        check(name, [&](Heap &dst) { return ser->deserialize(stream, dst); });
+    }
+    CerealSerializer cereal;
+    cereal.registerAll(reg);
+    const CerealStream s = cereal.serializeToStream(src, root);
+    check("cereal", [&](Heap &dst) {
+        return cereal.deserializeStream(s, dst);
+    });
 }
 
 // --------------------------------------------- DRAM batched ticking
