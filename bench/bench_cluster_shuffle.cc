@@ -4,9 +4,10 @@
  *
  * Drives the event-driven cluster simulator (src/cluster) through one
  * all-to-all shuffle plus an open-loop serving sweep at three load
- * points per backend, reporting all-to-all completion time and the
- * latency-throughput curve (p50/p95/p99 sojourn latency vs achieved
- * request rate). The paper's claim transported to cluster scale: the
+ * points per backend (runServingFrontend with no admission control and
+ * no flow control, as bench_serving_knee's "open" rows), reporting
+ * all-to-all completion time and the latency-throughput curve
+ * (p50/p95/p99 sojourn latency vs achieved request rate). The paper's claim transported to cluster scale: the
  * accelerator's S/D speedups must show up as a dominating frontier —
  * at every load point Cereal sustains a higher request rate at lower
  * tail latency than the reflective software serializers the paper
@@ -26,6 +27,7 @@
 #include "bench/bench_util.hh"
 #include "bench/summary.hh"
 #include "cluster/cluster.hh"
+#include "cluster/serving.hh"
 
 using namespace cereal;
 using namespace cereal::cluster;
@@ -50,7 +52,7 @@ struct Row
     std::uint64_t objects = 0;
     double capacityRps = 0;
     ShuffleResult shuffle;
-    ServingResult serve;
+    ServingFrontendResult serve;
 };
 
 void
@@ -125,12 +127,17 @@ main(int argc, char **argv)
                 sv.frameBytes = sim.frameBytes();
                 sv.objects = sim.profile().objects;
                 sv.capacityRps = sim.nodeCapacityRps();
-                sv.serve = sim.runServing(pct / 100.0, kRequestsPerNode);
+                ServingConfig open;
+                open.utilization = pct / 100.0;
+                open.requestsPerNode = kRequestsPerNode;
+                open.admission.policy = AdmissionPolicy::None;
+                open.flow.enabled = false;
+                sv.serve = runServingFrontend(sim, open);
                 writeCommon(w, sv);
                 w.kv("utilization_pct",
                      static_cast<std::uint64_t>(pct));
                 w.kv("offered_rps", sv.serve.offeredRps);
-                w.kv("achieved_rps", sv.serve.achievedRps);
+                w.kv("achieved_rps", sv.serve.goodputRps);
                 w.kv("requests", sv.serve.requests);
                 w.kv("completed", sv.serve.completed);
                 w.kv("duration_seconds", sv.serve.durationSeconds);
@@ -162,10 +169,10 @@ main(int argc, char **argv)
                  row(b, 0).shuffle.completionSeconds /
                      csh.shuffle.completionSeconds);
             for (std::size_t li = 0; li < kLoadPct.size(); ++li) {
-                const ServingResult &sw = row(b, 1 + li).serve;
-                const ServingResult &ce =
+                const ServingFrontendResult &sw = row(b, 1 + li).serve;
+                const ServingFrontendResult &ce =
                     row(Backend::Cereal, 1 + li).serve;
-                const bool dom = ce.achievedRps >= sw.achievedRps &&
+                const bool dom = ce.goodputRps >= sw.goodputRps &&
                                  ce.latency.p99 <= sw.latency.p99;
                 if (b == Backend::Java || b == Backend::Kryo ||
                     b == Backend::Skyway) {

@@ -10,7 +10,8 @@
  *    rescheduling event chain with fan-out, events/second.
  *  - dram-stream: Dram::accessRange() streaming over a large span on
  *    the batched (non-observing) fast path, bursts/second.
- *  - cluster-serve: the full cluster serving experiment,
+ *  - cluster-serve: the open-loop serving experiment
+ *    (runServingFrontend, no admission or flow control),
  *    sim-ticks/second.
  *
  * Wall-clock rates jitter run to run, so this bench is *not* part of
@@ -29,6 +30,7 @@
 
 #include "bench/bench_util.hh"
 #include "cluster/cluster.hh"
+#include "cluster/serving.hh"
 #include "mem/dram.hh"
 #include "sim/event_queue.hh"
 
@@ -179,13 +181,14 @@ main(int argc, char **argv)
         ClusterSim sim(cfg);
         // Profile measurement happens in the ctor, outside the timed
         // region: this point times the event-driven run.
-        ServingResult res;
+        ServingConfig open;
+        open.utilization = kServeLoadPct / 100.0;
+        open.requestsPerNode = kRequestsPerNode;
+        open.admission.policy = AdmissionPolicy::None;
+        open.flow.enabled = false;
+        ServingFrontendResult res;
         serve.wallSeconds = timeLoop(
-            [&] {
-                res = sim.runServing(kServeLoadPct / 100.0,
-                                     kRequestsPerNode);
-            },
-            serve.repeats);
+            [&] { res = runServingFrontend(sim, open); }, serve.repeats);
         serve.units = static_cast<std::uint64_t>(
             res.durationSeconds * static_cast<double>(kTicksPerSecond));
         serve.perSec = static_cast<double>(serve.units) *

@@ -1,31 +1,13 @@
 #include "cluster/cluster.hh"
 
-#include <cmath>
-#include <deque>
-#include <unordered_map>
+#include <algorithm>
 #include <utility>
 
-#include "cluster/frame.hh"
-#include "cluster/worker.hh"
-#include "metrics/metrics.hh"
-#include "sim/arena.hh"
+#include "cluster/transport.hh"
 #include "sim/logging.hh"
-#include "sim/rng.hh"
-#include "trace/trace.hh"
 
 namespace cereal {
 namespace cluster {
-
-namespace {
-
-Tick
-secondsToTicks(double s)
-{
-    return static_cast<Tick>(
-        std::ceil(s * static_cast<double>(kTicksPerSecond)));
-}
-
-} // namespace
 
 LatencySummary
 LatencySummary::of(const stats::Distribution &d)
@@ -68,7 +50,8 @@ ClusterSim::ClusterSim(ClusterConfig cfg) : cfg_(std::move(cfg))
 
     // Hash the payload once; every frame this cluster sends carries the
     // same profiled partition, so the send path stamps this cached
-    // checksum and the receive path verifies against it by equality.
+    // checksum into each header and the receive path compares the
+    // header's copy with it.
     const NodeProfile &prof = cost_.profile();
     payloadChecksum_ = fnv1a64(prof.payload.data(), prof.payload.size());
     frameBytes_ = kFrameHeaderBytes + prof.payload.size();
@@ -90,52 +73,53 @@ ClusterSim::nodeCapacityRps() const
     return 1.0 / bottleneck;
 }
 
+FrameRef
+ClusterSim::frame(std::uint32_t src, std::uint32_t dst,
+                  std::uint32_t partition) const
+{
+    const NodeProfile &prof = cost_.profile();
+    FrameRef f;
+    f.format = backendFormatId(cfg_.backend);
+    f.flags = prof.compressed ? kFrameFlagCompressed : 0;
+    f.srcNode = src;
+    f.dstNode = dst;
+    f.partition = partition;
+    f.payload = prof.payload.data();
+    f.payloadLen = prof.payload.size();
+    return f;
+}
+
+void
+ClusterSim::checkPayloadDigest(const FrameInfo &info) const
+{
+    panic_if(info.checksum != payloadChecksum_ ||
+                 info.payloadLen != cost_.profile().payload.size(),
+             "fabric delivered a corrupt frame (payload digest"
+             " mismatch on partition %u)", info.partition);
+}
+
 ShuffleResult
 ClusterSim::runShuffle() const
 {
     const unsigned n = cfg_.nodes;
-    const NodeProfile &prof = cost_.profile();
     const Tick ser = secondsToTicks(cost_.serializeSeconds());
     const Tick deser = secondsToTicks(cost_.deserializeSeconds());
 
     EventQueue eq;
-    const auto em = trace::current();
-    std::vector<Worker> workers(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-        workers[i].eq = &eq;
-        workers[i].initMetrics(i);
-        if (em.enabled()) {
-            workers[i].trace =
-                em.sub(("node" + std::to_string(i)).c_str());
-        }
-    }
-
     stats::Distribution latency;
     latency.reserve(static_cast<std::size_t>(n) * (n - 1));
-    std::unordered_map<std::uint32_t, Tick> start;
     Tick last_done = 0;
-    sim::BufferPool pool;
 
-    Fabric fabric(eq, n, cfg_.net,
-                  [&](std::uint32_t dst, std::vector<std::uint8_t> bytes) {
-        auto res = tryDecodeFrameInfo(bytes);
-        panic_if(!res.ok(), "fabric delivered a corrupt frame: %s",
-                 res.error().what());
-        const FrameInfo &info = res.value();
-        // Integrity check by equality against the cached payload hash:
-        // same corruption coverage as rehashing, at O(1) per frame.
-        panic_if(info.checksum != payloadChecksum_ ||
-                     info.payloadLen != prof.payload.size(),
-                 "fabric delivered a corrupt frame (payload digest"
-                 " mismatch on partition %u)", info.partition);
-        const std::uint32_t partition = info.partition;
-        pool.release(std::move(bytes));
-        workers[dst].enqueue(deser, "deser", [&, partition] {
-            latency.sample(ticksToSeconds(eq.now() - start.at(partition)));
+    // Every partition is enqueued at t = 0, so its latency is the tick
+    // its deserialize finishes.
+    Transport net(eq, n, cfg_.net,
+                  [&](std::uint32_t dst, const FrameInfo &info) {
+        checkPayloadDigest(info);
+        net.worker(dst).enqueue(deser, "deser", [&] {
+            latency.sample(ticksToSeconds(eq.now()));
             last_done = eq.now();
         });
     });
-    fabric.setTrace(em.sub("fabric"));
 
     // t = 0: every node enqueues one serialize job per peer.
     for (std::uint32_t src = 0; src < n; ++src) {
@@ -144,20 +128,8 @@ ClusterSim::runShuffle() const
                 continue;
             }
             const std::uint32_t partition = src * n + dst;
-            start[partition] = 0;
-            workers[src].enqueue(ser, "ser", [&, src, dst, partition] {
-                FrameRef f;
-                f.format = backendFormatId(cfg_.backend);
-                f.flags =
-                    prof.compressed ? kFrameFlagCompressed : 0;
-                f.srcNode = src;
-                f.dstNode = dst;
-                f.partition = partition;
-                f.payload = prof.payload.data();
-                f.payloadLen = prof.payload.size();
-                auto bytes = pool.acquire();
-                encodeFrameInto(f, payloadChecksum_, bytes);
-                fabric.send(src, dst, std::move(bytes));
+            net.worker(src).enqueue(ser, "ser", [&, src, dst, partition] {
+                net.send(frame(src, dst, partition), payloadChecksum_);
             });
         }
     }
@@ -167,8 +139,8 @@ ClusterSim::runShuffle() const
     ShuffleResult out;
     out.completionSeconds = ticksToSeconds(last_done);
     out.frames = static_cast<std::uint64_t>(n) * (n - 1);
-    out.wireBytes = fabric.wireBytes();
-    out.batches = fabric.batches();
+    out.wireBytes = net.fabric().wireBytes();
+    out.batches = net.fabric().batches();
     out.throughputMBps = out.completionSeconds > 0
         ? static_cast<double>(out.wireBytes) /
               out.completionSeconds / 1e6
@@ -178,124 +150,6 @@ ClusterSim::runShuffle() const
              "shuffle lost partitions (%llu of %llu finished)",
              (unsigned long long)out.latency.count,
              (unsigned long long)out.frames);
-    return out;
-}
-
-ServingResult
-ClusterSim::runServing(double utilization,
-                       std::uint64_t requests_per_node) const
-{
-    panic_if(utilization <= 0, "serving utilization must be > 0");
-    panic_if(requests_per_node == 0 || requests_per_node > 0xffff,
-             "requests per node out of range");
-
-    const unsigned n = cfg_.nodes;
-    const NodeProfile &prof = cost_.profile();
-    const Tick ser = secondsToTicks(cost_.serializeSeconds());
-    const Tick deser = secondsToTicks(cost_.deserializeSeconds());
-    const double lambda = utilization * nodeCapacityRps();
-
-    EventQueue eq;
-    const auto em = trace::current();
-    std::vector<Worker> workers(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-        workers[i].eq = &eq;
-        workers[i].initMetrics(i);
-        if (em.enabled()) {
-            workers[i].trace =
-                em.sub(("node" + std::to_string(i)).c_str());
-        }
-    }
-
-    stats::Distribution latency;
-    std::unordered_map<std::uint32_t, Tick> arrival;
-    std::uint64_t completed = 0;
-    Tick last_done = 0;
-    sim::BufferPool pool;
-
-    Fabric fabric(eq, n, cfg_.net,
-                  [&](std::uint32_t dst, std::vector<std::uint8_t> bytes) {
-        auto res = tryDecodeFrameInfo(bytes);
-        panic_if(!res.ok(), "fabric delivered a corrupt frame: %s",
-                 res.error().what());
-        const FrameInfo &info = res.value();
-        panic_if(info.checksum != payloadChecksum_ ||
-                     info.payloadLen != prof.payload.size(),
-                 "fabric delivered a corrupt frame (payload digest"
-                 " mismatch on request %u)", info.partition);
-        const std::uint32_t request = info.partition;
-        pool.release(std::move(bytes));
-        workers[dst].enqueue(deser, "deser", [&, request] {
-            latency.sample(ticksToSeconds(eq.now() - arrival.at(request)));
-            ++completed;
-            last_done = eq.now();
-        });
-    });
-    fabric.setTrace(em.sub("fabric"));
-
-    latency.reserve(static_cast<std::size_t>(n) * requests_per_node);
-    arrival.reserve(static_cast<std::size_t>(n) * requests_per_node);
-    eq.reserve(static_cast<std::size_t>(n) * requests_per_node + 16);
-
-    // Open loop: pre-draw every node's Poisson arrival process and the
-    // uniform peer destinations from the per-node seeded Rng.
-    for (std::uint32_t origin = 0; origin < n; ++origin) {
-        Rng rng(cfg_.seed * 0x51ed2701ULL + origin);
-        double t = 0;
-        for (std::uint64_t k = 0; k < requests_per_node; ++k) {
-            t += -std::log(1.0 - rng.uniform()) / lambda;
-            std::uint32_t dst =
-                static_cast<std::uint32_t>(rng.below(n - 1));
-            if (dst >= origin) {
-                ++dst; // uniform over the n-1 peers
-            }
-            const std::uint32_t request =
-                origin * 0x10000u + static_cast<std::uint32_t>(k);
-            const Tick at = secondsToTicks(t);
-            arrival[request] = at;
-            eq.schedule(at, [&, origin, dst, request] {
-                workers[origin].enqueue(ser, "ser",
-                                        [&, origin, dst, request] {
-                    FrameRef f;
-                    f.format = backendFormatId(cfg_.backend);
-                    f.flags = prof.compressed
-                        ? kFrameFlagCompressed : 0;
-                    f.srcNode = origin;
-                    f.dstNode = dst;
-                    f.partition = request;
-                    f.payload = prof.payload.data();
-                    f.payloadLen = prof.payload.size();
-                    auto bytes = pool.acquire();
-                    encodeFrameInto(f, payloadChecksum_, bytes);
-                    fabric.send(origin, dst, std::move(bytes));
-                });
-            });
-        }
-    }
-
-    // Functional warm-up: jump straight to the first arrival instead
-    // of entering the run through the idle gap before it. Safe under
-    // observation too — no pending event is skipped, so every trace
-    // span and metrics sample lands on the same tick either way.
-    if (!eq.empty()) {
-        eq.fastForward(eq.nextEventTick());
-    }
-
-    eq.runAll();
-
-    ServingResult out;
-    out.offeredRps = lambda * static_cast<double>(n);
-    out.requests = static_cast<std::uint64_t>(n) * requests_per_node;
-    out.completed = completed;
-    out.durationSeconds = ticksToSeconds(last_done);
-    out.achievedRps = out.durationSeconds > 0
-        ? static_cast<double>(completed) / out.durationSeconds
-        : 0;
-    out.latency = LatencySummary::of(latency);
-    panic_if(out.completed != out.requests,
-             "serving lost requests (%llu of %llu finished)",
-             (unsigned long long)out.completed,
-             (unsigned long long)out.requests);
     return out;
 }
 

@@ -4,8 +4,9 @@
  *
  * N executors, each with one serializer worker (a FIFO queue serving
  * both serialize and deserialize jobs at the measured per-partition
- * cost) and one full-duplex link into the switch fabric. Two drive
- * modes:
+ * cost) and one full-duplex link into the switch fabric, both owned by
+ * the shared Transport (transport.hh). A ClusterSim measures the
+ * partition profile once and drives it two ways:
  *
  *  - runShuffle(): the Spark all-to-all — every node serializes one
  *    partition for each peer at t=0, frames cross the fabric, and the
@@ -14,12 +15,9 @@
  *    deserialize-done), where the tail comes from worker queueing and
  *    ingress incast.
  *
- *  - runServing(): an open-loop serving experiment — Poisson request
- *    arrivals at a chosen fraction of the node's measured capacity,
- *    each request serializing on its origin, crossing the fabric, and
- *    deserializing on a uniformly chosen peer. Reports offered vs
- *    achieved throughput and p50/p95/p99 sojourn latency, mapping the
- *    latency-throughput curve the paper's serving claim rests on.
+ *  - runServingFrontend() (serving.hh): shaped request arrivals behind
+ *    admission control and credit flow control; with neither it is
+ *    the open loop that maps the latency-throughput curve.
  *
  * Every frame on the wire is a real encoded partition frame; the
  * receive path decodes it (frame.hh) before queueing the deserialize
@@ -35,6 +33,7 @@
 
 #include "cluster/cost_model.hh"
 #include "cluster/fabric.hh"
+#include "cluster/frame.hh"
 #include "cluster/node.hh"
 #include "sim/json.hh"
 #include "sim/stats.hh"
@@ -90,20 +89,6 @@ struct ShuffleResult
     LatencySummary latency;
 };
 
-/** Outcome of one open-loop serving run. */
-struct ServingResult
-{
-    /** Requested arrival rate, requests/second across the cluster. */
-    double offeredRps = 0;
-    /** Completions / makespan. */
-    double achievedRps = 0;
-    std::uint64_t requests = 0;
-    std::uint64_t completed = 0;
-    double durationSeconds = 0;
-    /** Per-request arrival to deserialize-done seconds. */
-    LatencySummary latency;
-};
-
 /** One simulated cluster; profile measured once, replayed per run. */
 class ClusterSim
 {
@@ -127,12 +112,26 @@ class ClusterSim
     std::uint64_t frameBytes() const { return frameBytes_; }
 
     /**
-     * FNV-1a-64 of the profiled payload, computed once at construction.
-     * The send path stamps it into every frame and the receive path
-     * verifies delivered frames against it, so per-frame integrity
-     * checking costs a comparison instead of an O(payload) rehash.
+     * FNV-1a-64 of the profiled payload, computed once at construction
+     * and stamped into every frame this cluster sends.
      */
     std::uint64_t payloadChecksum() const { return payloadChecksum_; }
+
+    /**
+     * The frame carrying the profiled partition from @p src to @p dst,
+     * tagged @p partition.
+     */
+    FrameRef frame(std::uint32_t src, std::uint32_t dst,
+                   std::uint32_t partition) const;
+
+    /**
+     * Panic unless delivered header @p info carries this cluster's
+     * payload length and digest. The receiver compares the digest
+     * stored in the header with the sender's cached payloadChecksum();
+     * it does not rehash the payload, so a corrupted header is caught
+     * and a corrupted payload behind an intact header is not.
+     */
+    void checkPayloadDigest(const FrameInfo &info) const;
 
     /**
      * Sustainable per-node request rate: one request costs the node
@@ -142,14 +141,6 @@ class ClusterSim
     double nodeCapacityRps() const;
 
     ShuffleResult runShuffle() const;
-
-    /**
-     * @param utilization offered load as a fraction of
-     *        nodeCapacityRps() (must be > 0; stable below 1)
-     * @param requests_per_node arrivals generated per node
-     */
-    ServingResult runServing(double utilization,
-                             std::uint64_t requests_per_node = 200) const;
 
   private:
     ClusterConfig cfg_;

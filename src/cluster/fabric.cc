@@ -38,22 +38,14 @@ Fabric::Fabric(EventQueue &eq, unsigned nodes, NetConfig cfg,
                            });
         }
     }
-}
 
-void
-Fabric::setTrace(const trace::TraceEmitter &em)
-{
-    txTrace_.clear();
-    rxTrace_.clear();
-    if (!em.enabled()) {
-        return;
-    }
-    txTrace_.reserve(ports_.size());
-    rxTrace_.reserve(ports_.size());
-    for (std::size_t i = 0; i < ports_.size(); ++i) {
-        const std::string n = "n" + std::to_string(i);
-        txTrace_.push_back(em.sub((n + ".tx").c_str()));
-        rxTrace_.push_back(em.sub((n + ".rx").c_str()));
+    const auto em = trace::current().sub("fabric");
+    if (em.enabled()) {
+        for (unsigned i = 0; i < nodes; ++i) {
+            const std::string n = "n" + std::to_string(i);
+            txTrace_.push_back(em.sub((n + ".tx").c_str()));
+            rxTrace_.push_back(em.sub((n + ".rx").c_str()));
+        }
     }
 }
 

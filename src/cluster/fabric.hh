@@ -52,6 +52,13 @@ class Fabric
         std::function<void(std::uint32_t dst,
                            std::vector<std::uint8_t> frame)>;
 
+    /**
+     * Under an active trace sink each node's link pair gets child
+     * tracks "fabric.n{i}.tx" ("tx_batch" spans = egress occupancy,
+     * "queued_frames" counter = egress backlog) and "fabric.n{i}.rx"
+     * ("rx_batch" spans = ingress occupancy, where incast queueing
+     * shows up).
+     */
     Fabric(EventQueue &eq, unsigned nodes, NetConfig cfg,
            Deliver deliver);
 
@@ -70,14 +77,6 @@ class Fabric
 
     /** Transmission batches formed so far. */
     std::uint64_t batches() const { return batches_; }
-
-    /**
-     * Attach a trace emitter. Each node's link pair gets child tracks
-     * "n{i}.tx" ("tx_batch" spans = egress occupancy, "queued_frames"
-     * counter = egress backlog) and "n{i}.rx" ("rx_batch" spans =
-     * ingress occupancy, where incast queueing shows up).
-     */
-    void setTrace(const trace::TraceEmitter &em);
 
   private:
     struct Port

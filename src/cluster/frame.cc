@@ -138,13 +138,7 @@ std::vector<std::uint8_t>
 encodeFrame(const Frame &f)
 {
     FrameRef ref;
-    ref.format = f.format;
-    ref.flags = f.flags;
-    ref.srcNode = f.srcNode;
-    ref.dstNode = f.dstNode;
-    ref.partition = f.partition;
-    ref.traceId = f.traceId;
-    ref.spanId = f.spanId;
+    static_cast<FrameHeader &>(ref) = f;
     ref.payload = f.payload.data();
     ref.payloadLen = f.payload.size();
     std::vector<std::uint8_t> out;
@@ -159,13 +153,7 @@ decodeFrame(const std::vector<std::uint8_t> &bytes)
     const FrameInfo info = decodeFrameInfoOrThrow(bytes);
 
     Frame f;
-    f.format = info.format;
-    f.flags = info.flags;
-    f.srcNode = info.srcNode;
-    f.dstNode = info.dstNode;
-    f.partition = info.partition;
-    f.traceId = info.traceId;
-    f.spanId = info.spanId;
+    static_cast<FrameHeader &>(f) = info;
     f.payload.assign(info.payload, info.payload + info.payloadLen);
 
     const std::uint64_t computed =

@@ -65,8 +65,8 @@ constexpr std::size_t kFrameHeaderBytes = 36;
 /** Trace-context extension bytes (present iff kFrameFlagTraced). */
 constexpr std::size_t kFrameTraceExtBytes = 16;
 
-/** One framed partition. */
-struct Frame
+/** The routing and trace fields of a frame header. */
+struct FrameHeader
 {
     std::uint8_t format = 0;
     std::uint16_t flags = 0;
@@ -76,9 +76,14 @@ struct Frame
     /** Trace context (meaningful iff flags has kFrameFlagTraced). */
     std::uint64_t traceId = 0;
     std::uint32_t spanId = 0;
-    std::vector<std::uint8_t> payload;
 
     bool hasTrace() const { return (flags & kFrameFlagTraced) != 0; }
+};
+
+/** One framed partition. */
+struct Frame : FrameHeader
+{
+    std::vector<std::uint8_t> payload;
 };
 
 /**
@@ -88,45 +93,23 @@ struct Frame
  * thousands of times per run; FrameRef lets the send path reference it
  * in place instead of copying it into a Frame first.
  */
-struct FrameRef
+struct FrameRef : FrameHeader
 {
-    std::uint8_t format = 0;
-    std::uint16_t flags = 0;
-    std::uint32_t srcNode = 0;
-    std::uint32_t dstNode = 0;
-    std::uint32_t partition = 0;
-    /** Trace context (meaningful iff flags has kFrameFlagTraced). */
-    std::uint64_t traceId = 0;
-    std::uint32_t spanId = 0;
     const std::uint8_t *payload = nullptr;
     std::uint64_t payloadLen = 0;
-
-    bool hasTrace() const { return (flags & kFrameFlagTraced) != 0; }
 };
 
 /**
  * Header view of a validated frame (zero-copy decode): all header
- * fields plus a pointer into the caller's buffer. The stored checksum
- * is NOT recomputed — callers that already know the expected payload
- * checksum compare against it; hostile input goes through decodeFrame.
+ * fields plus a payload pointer into the caller's buffer. The stored
+ * checksum is NOT recomputed — callers that already know the expected
+ * payload checksum compare against it; hostile input goes through
+ * decodeFrame.
  */
-struct FrameInfo
+struct FrameInfo : FrameRef
 {
-    std::uint8_t format = 0;
-    std::uint16_t flags = 0;
-    std::uint32_t srcNode = 0;
-    std::uint32_t dstNode = 0;
-    std::uint32_t partition = 0;
-    /** Trace context (meaningful iff flags has kFrameFlagTraced). */
-    std::uint64_t traceId = 0;
-    std::uint32_t spanId = 0;
-    /** Payload bytes, pointing into the decoded buffer. */
-    const std::uint8_t *payload = nullptr;
-    std::uint64_t payloadLen = 0;
     /** Checksum as stored in the header (not recomputed). */
     std::uint64_t checksum = 0;
-
-    bool hasTrace() const { return (flags & kFrameFlagTraced) != 0; }
 };
 
 /** Printable serializer name of frame format id @p id ("?" if bad). */

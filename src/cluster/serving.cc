@@ -1,16 +1,12 @@
 #include "cluster/serving.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <deque>
 #include <functional>
-#include <utility>
 #include <vector>
 
-#include "cluster/frame.hh"
-#include "cluster/worker.hh"
+#include "cluster/transport.hh"
 #include "metrics/metrics.hh"
-#include "sim/arena.hh"
 #include "sim/logging.hh"
 #include "trace/request_trace.hh"
 #include "trace/trace.hh"
@@ -19,13 +15,6 @@ namespace cereal {
 namespace cluster {
 
 namespace {
-
-Tick
-secondsToTicks(double s)
-{
-    return static_cast<Tick>(
-        std::ceil(s * static_cast<double>(kTicksPerSecond)));
-}
 
 /** Admission/flow state of one node's front end. */
 struct NodeCtl
@@ -67,11 +56,14 @@ runServingFrontend(const ClusterSim &sim, const ServingConfig &cfg)
     const ClusterConfig &cc = sim.config();
     const unsigned n = cc.nodes;
     const BackendCostModel &cost = sim.costModel();
-    const NodeProfile &prof = cost.profile();
 
     panic_if(cfg.utilization <= 0, "serving utilization must be > 0");
-    panic_if(cfg.requestsPerNode == 0 || cfg.requestsPerNode > 0xffff,
-             "requests per node out of range");
+    // A request's global index origin * requestsPerNode + k rides in
+    // the frame's u32 partition field.
+    panic_if(cfg.requestsPerNode == 0, "need at least one request");
+    panic_if(cfg.requestsPerNode >= 0xffffffffULL ||
+                 n * cfg.requestsPerNode >= 0xffffffffULL,
+             "nodes * requests per node must stay below 2^32 - 1");
     panic_if(cfg.warmupFraction < 0 || cfg.warmupFraction >= 1,
              "warm-up fraction must be in [0, 1)");
     panic_if(cfg.admission.policy != AdmissionPolicy::None &&
@@ -109,14 +101,10 @@ runServingFrontend(const ClusterSim &sim, const ServingConfig &cfg)
     const std::uint64_t total = static_cast<std::uint64_t>(n) * rpn;
 
     EventQueue eq;
-    const auto em = trace::current();
-    std::vector<Worker> workers(n);
     std::vector<NodeCtl> ctl(n);
     CreditManager credits(n, cfg.flow);
     for (std::uint32_t i = 0; i < n; ++i) {
-        workers[i].eq = &eq;
         ctl[i].stalled.resize(n);
-        workers[i].initMetrics(i);
         ctl[i].metrics = metrics::Group(
             metrics::current(), "serving.n" + std::to_string(i));
         if (ctl[i].metrics.enabled()) {
@@ -146,10 +134,6 @@ runServingFrontend(const ClusterSim &sim, const ServingConfig &cfg)
                     return sum;
                 });
         }
-        if (em.enabled()) {
-            workers[i].trace =
-                em.sub(("node" + std::to_string(i)).c_str());
-        }
     }
 
     // Per-request state, indexed origin * rpn + k.
@@ -177,49 +161,27 @@ runServingFrontend(const ClusterSim &sim, const ServingConfig &cfg)
     latency.reserve(total);
     Tick last_done = 0;
     Tick last_flash_done = 0;
-    sim::BufferPool pool;
-
-    const auto wireId = [rpn](std::uint32_t idx) {
-        return static_cast<std::uint32_t>(idx / rpn) * 0x10000u +
-               static_cast<std::uint32_t>(idx % rpn);
-    };
 
     // Stamp the frame fields shared by the immediate and unparked send
-    // paths; sampled requests carry their trace context on the wire
-    // (16 extra bytes — tracing overhead is modeled, not free).
+    // paths: the frame's partition is the request index, and sampled
+    // requests carry their trace context on the wire (16 extra bytes —
+    // tracing overhead is modeled, not free).
     const auto makeFrame = [&](std::uint32_t src, std::uint32_t dst,
                                std::uint32_t idx) {
-        FrameRef f;
-        f.format = backendFormatId(cc.backend);
-        f.flags = prof.compressed ? kFrameFlagCompressed : 0;
-        f.srcNode = src;
-        f.dstNode = dst;
-        f.partition = wireId(idx);
+        FrameRef f = sim.frame(src, dst, idx);
         if (reqTrace.sampled(traceIdOf(idx))) {
             f.flags |= kFrameFlagTraced;
             f.traceId = traceIdOf(idx);
             f.spanId = reqCls[idx];
         }
-        f.payload = prof.payload.data();
-        f.payloadLen = prof.payload.size();
         return f;
     };
-    const auto reqEm = em.enabled() ? em.sub("requests")
-                                    : trace::TraceEmitter();
+    const auto reqEm = trace::current().sub("requests");
 
-    Fabric fabric(eq, n, cc.net,
-                  [&](std::uint32_t dst, std::vector<std::uint8_t> bytes) {
-        auto res = tryDecodeFrameInfo(bytes);
-        panic_if(!res.ok(), "fabric delivered a corrupt frame: %s",
-                 res.error().what());
-        const FrameInfo &info = res.value();
-        panic_if(info.checksum != sim.payloadChecksum() ||
-                     info.payloadLen != prof.payload.size(),
-                 "fabric delivered a corrupt frame (payload digest"
-                 " mismatch on request %u)", info.partition);
-        const std::uint32_t idx =
-            (info.partition >> 16) * static_cast<std::uint32_t>(rpn) +
-            (info.partition & 0xffffu);
+    Transport net(eq, n, cc.net,
+                  [&](std::uint32_t dst, const FrameInfo &info) {
+        sim.checkPayloadDigest(info);
+        const std::uint32_t idx = info.partition;
         const std::uint32_t src = info.srcNode;
         // Context propagation check: a traced frame must carry exactly
         // the trace id its request was assigned at the origin.
@@ -230,8 +192,7 @@ runServingFrontend(const ClusterSim &sim, const ServingConfig &cfg)
                  "trace sampling decision changed in flight for"
                  " request %u", idx);
         deliverT[idx] = eq.now();
-        pool.release(std::move(bytes));
-        workers[dst].enqueue(deser, "deser", [&, idx, src, dst] {
+        net.worker(dst).enqueue(deser, "deser", [&, idx, src, dst] {
             const double arr = arrivalSec[idx];
             if (arr >= warmup) {
                 latency.sample(
@@ -278,7 +239,8 @@ runServingFrontend(const ClusterSim &sim, const ServingConfig &cfg)
             if (cfg.flow.enabled) {
                 // The frame is consumed: its credit travels back to
                 // the sender (one propagation delay).
-                eq.scheduleIn(fabric.propagationTicks(), [&, src, dst] {
+                eq.scheduleIn(net.fabric().propagationTicks(),
+                              [&, src, dst] {
                     credits.refund(src, dst);
                     NodeCtl &c = ctl[src];
                     auto &q = c.stalled[dst];
@@ -293,19 +255,16 @@ runServingFrontend(const ClusterSim &sim, const ServingConfig &cfg)
                         // here — send > serEnd by exactly the parked
                         // interval.
                         sendT[sidx] = eq.now();
-                        auto b = pool.acquire();
-                        encodeFrameInto(makeFrame(src, dst, sidx),
-                                        sim.payloadChecksum(), b);
-                        fabric.send(src, dst, std::move(b));
+                        net.send(makeFrame(src, dst, sidx),
+                                 sim.payloadChecksum());
                     }
                 });
             }
         });
         out.maxWorkerQueue = std::max(
             out.maxWorkerQueue,
-            static_cast<std::uint64_t>(workers[dst].q.size()));
+            static_cast<std::uint64_t>(net.worker(dst).q.size()));
     });
-    fabric.setTrace(em.sub("fabric"));
 
     // Hand the worker one serialize job at a time, so waiting requests
     // stay in the admission queue where shed-by-class can still reach
@@ -319,7 +278,7 @@ runServingFrontend(const ClusterSim &sim, const ServingConfig &cfg)
         c.serInWorker = true;
         const std::uint32_t idx = c.pend.front();
         c.pend.pop_front();
-        workers[origin].enqueue(ser, "ser", [&, origin, idx] {
+        net.worker(origin).enqueue(ser, "ser", [&, origin, idx] {
             NodeCtl &cn = ctl[origin];
             cn.serInWorker = false;
             // The worker is non-preemptive: this job's service started
@@ -329,10 +288,8 @@ runServingFrontend(const ClusterSim &sim, const ServingConfig &cfg)
             const std::uint32_t dst = reqDst[idx];
             if (credits.tryConsume(origin, dst)) {
                 sendT[idx] = eq.now();
-                auto bytes = pool.acquire();
-                encodeFrameInto(makeFrame(origin, dst, idx),
-                                sim.payloadChecksum(), bytes);
-                fabric.send(origin, dst, std::move(bytes));
+                net.send(makeFrame(origin, dst, idx),
+                         sim.payloadChecksum());
                 --cn.occupancy;
             } else {
                 cn.stalled[dst].push_back(idx);
@@ -345,7 +302,7 @@ runServingFrontend(const ClusterSim &sim, const ServingConfig &cfg)
         });
         out.maxWorkerQueue = std::max(
             out.maxWorkerQueue,
-            static_cast<std::uint64_t>(workers[origin].q.size()));
+            static_cast<std::uint64_t>(net.worker(origin).q.size()));
     };
 
     // Draw every node's shaped arrival stream and schedule admission.

@@ -4,15 +4,15 @@
  * control, and credit-based flow control in front of the per-node
  * serializer workers.
  *
- * runServing() (cluster.hh) models the textbook open loop: Poisson
- * arrivals are all admitted, queues are unbounded, and past the
- * saturation knee the tail latency diverges. This layer models what a
- * production front end actually does with the same serializer stack:
+ * With AdmissionPolicy::None and flow control off this is the textbook
+ * open loop: every arrival is admitted, queues are unbounded, and past
+ * the saturation knee the tail latency diverges. The pieces that model
+ * what a production front end does with the same serializer stack:
  *
  *  - Arrivals come from a LoadGenerator (src/load): a large simulated
  *    client population whose aggregate rate follows a composable
- *    LoadShape (steady / diurnal / bursty / flash crowd), each request
- *    carrying a client-derived class (gold / silver / bronze).
+ *    LoadShape (steady / flash crowd), each request carrying a
+ *    client-derived class (gold / silver / bronze).
  *
  *  - An admission controller in front of each node's worker bounds the
  *    number of requests admitted but not yet on the wire. Over the

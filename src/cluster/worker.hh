@@ -4,9 +4,10 @@
  *
  * One node owns one worker: a single server draining a FIFO of jobs
  * (serialize or deserialize — both contend for the same CPU or
- * accelerator) at the profiled per-partition cost. runShuffle() and
- * runServing() feed it directly; the serving front-end (serving.hh)
- * puts an admission queue in front of it.
+ * accelerator) at the profiled per-partition cost. The Transport
+ * (transport.hh) owns one per node; runShuffle() and the dataflow
+ * stages feed it directly, and the serving front end (serving.hh) puts
+ * an admission queue in front of it.
  */
 
 #ifndef CEREAL_CLUSTER_WORKER_HH

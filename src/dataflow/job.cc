@@ -9,12 +9,10 @@
 #include <utility>
 
 #include "cluster/cost_model.hh"
-#include "cluster/frame.hh"
-#include "cluster/worker.hh"
+#include "cluster/transport.hh"
 #include "cpu/core_model.hh"
 #include "dataflow/batch.hh"
 #include "mem/dram.hh"
-#include "sim/arena.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
 #include "trace/trace.hh"
@@ -23,13 +21,6 @@ namespace cereal {
 namespace dataflow {
 
 namespace {
-
-Tick
-secondsToTicks(double s)
-{
-    return static_cast<Tick>(
-        std::ceil(s * static_cast<double>(kTicksPerSecond)));
-}
 
 /** Distinct-key budget of the pre-shuffle combine table. */
 constexpr std::size_t kCombineSpillKeys = 64;
@@ -63,10 +54,29 @@ keyString(const std::vector<std::uint8_t> &key)
 }
 
 /**
- * Executes stages over one simulated cluster. The event queue, the
- * workers, and the fabric persist across stages, so simulated time
- * accumulates and a stage starts only after the previous one fully
- * drained (the stage barrier is runAll()).
+ * Check @p cfg, then measure the Terasort partition profile that batch
+ * serde costs scale from. The engine calls this before it builds its
+ * transport, so an observed run's profiling tracks precede the node
+ * and fabric tracks.
+ */
+cluster::BackendCostModel
+measureCostModel(const DataflowConfig &cfg, const BatchCodec &codec)
+{
+    panic_if(cfg.nodes < 2, "dataflow needs at least 2 nodes");
+    panic_if(cfg.stragglerFactor < 1.0, "straggler factor must be >= 1");
+    cluster::NodeConfig nc;
+    nc.backend = static_cast<cluster::Backend>(codec.info().formatId);
+    nc.app = "Terasort";
+    nc.scale = cfg.profileScale;
+    nc.seed = cfg.seed;
+    return cluster::BackendCostModel::measure(nc);
+}
+
+/**
+ * Executes stages over one simulated cluster. The event queue and the
+ * transport (workers and fabric) persist across stages, so simulated
+ * time accumulates and a stage starts only after the previous one
+ * fully drained (the stage barrier is runAll()).
  */
 class StageEngine
 {
@@ -74,33 +84,12 @@ class StageEngine
     explicit StageEngine(const DataflowConfig &cfg)
         : cfg_(cfg),
           codec_(cfg.backend),
-          em_(trace::current()),
-          workers_(cfg.nodes),
-          fabric_(eq_, cfg.nodes, cfg.net,
-                  [this](std::uint32_t dst,
-                         std::vector<std::uint8_t> bytes) {
-                      deliver(dst, std::move(bytes));
-                  })
+          cost_(measureCostModel(cfg_, codec_)),
+          net_(eq_, cfg.nodes, cfg.net,
+               [this](std::uint32_t dst, const FrameInfo &info) {
+                   deliver(dst, info);
+               })
     {
-        panic_if(cfg_.nodes < 2, "dataflow needs at least 2 nodes");
-        panic_if(cfg_.stragglerFactor < 1.0,
-                 "straggler factor must be >= 1");
-        cluster::NodeConfig nc;
-        nc.backend =
-            static_cast<cluster::Backend>(codec_.info().formatId);
-        nc.app = "Terasort";
-        nc.scale = cfg_.profileScale;
-        nc.seed = cfg_.seed;
-        cost_ = cluster::BackendCostModel::measure(nc);
-        for (std::uint32_t i = 0; i < cfg_.nodes; ++i) {
-            workers_[i].eq = &eq_;
-            workers_[i].initMetrics(i);
-            if (em_.enabled()) {
-                workers_[i].trace =
-                    em_.sub(("node" + std::to_string(i)).c_str());
-            }
-        }
-        fabric_.setTrace(em_.sub("fabric"));
     }
 
     std::vector<std::vector<Record>>
@@ -108,8 +97,8 @@ class StageEngine
              StageStats *stats);
 
     double nowSeconds() const { return ticksToSeconds(eq_.now()); }
-    std::uint64_t wireBytes() const { return fabric_.wireBytes(); }
-    std::uint64_t fabricBatches() const { return fabric_.batches(); }
+    std::uint64_t wireBytes() const { return net_.fabric().wireBytes(); }
+    std::uint64_t fabricBatches() const { return net_.fabric().batches(); }
 
   private:
     /** Everything the receive path needs about one in-flight batch. */
@@ -146,12 +135,8 @@ class StageEngine
     }
 
     void
-    deliver(std::uint32_t dst, std::vector<std::uint8_t> bytes)
+    deliver(std::uint32_t dst, const FrameInfo &info)
     {
-        auto res = tryDecodeFrameInfo(bytes);
-        panic_if(!res.ok(), "fabric delivered a corrupt frame: %s",
-                 res.error().what());
-        const FrameInfo &info = res.value();
         auto it = batchMeta_.find(info.partition);
         panic_if(it == batchMeta_.end(),
                  "frame for unknown dataflow batch %u", info.partition);
@@ -165,9 +150,8 @@ class StageEngine
                  "batch %u arrived with foreign trace id %llu",
                  info.partition, (unsigned long long)info.traceId);
         m.deliver = eq_.now();
-        pool_.release(std::move(bytes));
         const std::uint32_t id = info.partition;
-        workers_[dst].enqueue(m.deserTicks, "deser",
+        net_.worker(dst).enqueue(m.deserTicks, "deser",
                               [this, dst, id] { onBatchDecoded(dst, id); });
     }
 
@@ -182,7 +166,7 @@ class StageEngine
             // This batch released the barrier: it is the stage's
             // last arrival at dst and bounds the reduce start.
             lastBatch_[dst] = id;
-            workers_[dst].enqueue(postTicks_[dst], "reduce", [this, dst] {
+            net_.worker(dst).enqueue(postTicks_[dst], "reduce", [this, dst] {
                 reduceEnd_[dst] = eq_.now();
             });
         }
@@ -191,11 +175,8 @@ class StageEngine
     const DataflowConfig cfg_;
     BatchCodec codec_;
     cluster::BackendCostModel cost_;
-    trace::TraceEmitter em_;
     EventQueue eq_;
-    std::vector<cluster::Worker> workers_;
-    Fabric fabric_;
-    sim::BufferPool pool_;
+    cluster::Transport net_;
 
     std::unordered_map<std::uint32_t, BatchMeta> batchMeta_;
     std::vector<std::uint32_t> arrived_;
@@ -240,7 +221,7 @@ StageEngine::runStage(const Stage &st,
     if (st.shuffle == nullptr) {
         // Local stage: charge the compute, no exchange.
         for (std::uint32_t i = 0; i < n; ++i) {
-            workers_[i].enqueue(svc(i, mapSeconds[i]), "map", [] {});
+            net_.worker(i).enqueue(svc(i, mapSeconds[i]), "map", [] {});
         }
         eq_.runAll();
         if (stats != nullptr) {
@@ -330,7 +311,7 @@ StageEngine::runStage(const Stage &st,
         postTicks_[dst] = svc(dst, postSeconds[dst]);
     }
     for (std::uint32_t src = 0; src < n; ++src) {
-        workers_[src].enqueue(svc(src, mapSeconds[src]), "map", [] {});
+        net_.worker(src).enqueue(svc(src, mapSeconds[src]), "map", [] {});
         for (std::uint32_t dst = 0; dst < n; ++dst) {
             BatchExec *b = &batches[src][dst];
             const std::uint32_t id = nextBatchId_++;
@@ -342,7 +323,7 @@ StageEngine::runStage(const Stage &st,
             meta.deserTicks = b->deserTicks;
             batchMeta_[id] = meta;
             const Tick serTicks = b->serTicks;
-            workers_[src].enqueue(
+            net_.worker(src).enqueue(
                 serTicks, "ser", [this, src, dst, b, id, serTicks,
                                   stage] {
                     BatchMeta &m = batchMeta_.at(id);
@@ -352,7 +333,7 @@ StageEngine::runStage(const Stage &st,
                     if (dst == src) {
                         // Local shuffle file: delivered in place.
                         m.deliver = eq_.now();
-                        workers_[dst].enqueue(
+                        net_.worker(dst).enqueue(
                             m.deserTicks, "deser",
                             [this, dst, id] { onBatchDecoded(dst, id); });
                         return;
@@ -372,9 +353,7 @@ StageEngine::runStage(const Stage &st,
                     }
                     f.payload = b->enc.payload.data();
                     f.payloadLen = b->enc.payload.size();
-                    auto bytes = pool_.acquire();
-                    encodeFrameInto(f, b->checksum, bytes);
-                    fabric_.send(src, dst, std::move(bytes));
+                    net_.send(f, b->checksum);
                 });
         }
     }

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "sim/logging.hh"
+#include "sim/rng.hh"
 
 namespace cereal {
 namespace load {
@@ -37,21 +38,21 @@ LoadGenerator::arrivalsFor(std::uint32_t origin) const
     // Private per-origin randomness: the stream is independent of the
     // order origins are generated in (and of host threading).
     Rng rng(cfg_.seed * 0x2545f4914f6cdd1dULL + origin + 1);
-    ShapeEvaluator eval(cfg_.shape, horizon_,
-                        cfg_.seed * 0x9e3779b97f4a7c15ULL + origin);
+    const LoadShape &shape = cfg_.shape;
+    const double maxFactor = shape.maxFactor();
 
     // Lewis-Shedler thinning: draw a homogeneous Poisson stream at the
     // envelope rate, keep each candidate with probability
     // factor(t) / maxFactor. What survives is an exact sample of the
     // non-homogeneous process with rate lambdaBase * factor(t).
-    const double lambdaMax = cfg_.lambdaBase * eval.maxFactor();
+    const double lambdaMax = cfg_.lambdaBase * maxFactor;
 
     std::vector<Arrival> out;
     out.reserve(cfg_.requestsPerNode);
     double t = 0;
     while (out.size() < cfg_.requestsPerNode) {
         t += -std::log(1.0 - rng.uniform()) / lambdaMax;
-        const double keep = eval.factor(t) / eval.maxFactor();
+        const double keep = shape.factor(t, horizon_) / maxFactor;
         if (keep < 1.0 && !rng.chance(keep)) {
             continue;
         }

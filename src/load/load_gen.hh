@@ -5,7 +5,7 @@
  * Models the aggregate of a large simulated client population (default
  * one million clients per node) as a non-homogeneous Poisson process:
  * a base per-node rate modulated by a composable LoadShape (steady,
- * diurnal, bursty, flash crowd — load_shape.hh). Arrivals are drawn by
+ * flash crowd — load_shape.hh). Arrivals are drawn by
  * Lewis-Shedler thinning against the shape's max-factor envelope, so
  * any shape composition stays an exact Poisson sample of its rate
  * curve.
@@ -16,8 +16,8 @@
  * policy uses as drop priority.
  *
  * Determinism: each origin node's stream comes from its own seeded
- * Rng and its own ShapeEvaluator, so streams are independent of
- * generation order and identical across host thread counts.
+ * Rng, so streams are independent of generation order and identical
+ * across host thread counts.
  */
 
 #ifndef CEREAL_LOAD_LOAD_GEN_HH

@@ -1,7 +1,5 @@
 #include "load/load_shape.hh"
 
-#include <cmath>
-
 #include "sim/logging.hh"
 
 namespace cereal {
@@ -13,40 +11,6 @@ LoadShape::steady()
     LoadShape s;
     ShapeComponent c;
     c.kind = ShapeKind::Steady;
-    s.components_.push_back(c);
-    return s;
-}
-
-LoadShape
-LoadShape::diurnal(double amplitude, double period_frac)
-{
-    panic_if(amplitude <= 0 || amplitude > 1,
-             "diurnal amplitude must be in (0, 1]");
-    panic_if(period_frac <= 0, "diurnal period must be positive");
-    LoadShape s;
-    ShapeComponent c;
-    c.kind = ShapeKind::Diurnal;
-    c.amplitude = amplitude;
-    c.period = period_frac;
-    s.components_.push_back(c);
-    return s;
-}
-
-LoadShape
-LoadShape::bursty(double on_factor, double off_factor,
-                  double mean_residency_frac)
-{
-    panic_if(on_factor < 1, "bursty ON factor must be >= 1");
-    panic_if(off_factor < 0 || off_factor > 1,
-             "bursty OFF factor must be in [0, 1]");
-    panic_if(mean_residency_frac <= 0,
-             "bursty mean residency must be positive");
-    LoadShape s;
-    ShapeComponent c;
-    c.kind = ShapeKind::Bursty;
-    c.onFactor = on_factor;
-    c.offFactor = off_factor;
-    c.meanResidency = mean_residency_frac;
     s.components_.push_back(c);
     return s;
 }
@@ -86,15 +50,30 @@ LoadShape::maxFactor() const
         switch (c.kind) {
           case ShapeKind::Steady:
             break;
-          case ShapeKind::Diurnal:
-            f *= 1.0 + c.amplitude;
-            break;
-          case ShapeKind::Bursty:
-            f *= c.onFactor;
-            break;
           case ShapeKind::FlashCrowd:
             f *= c.spikeFactor;
             break;
+        }
+    }
+    return f;
+}
+
+double
+LoadShape::factor(double t, double horizon_seconds) const
+{
+    double f = 1.0;
+    for (const auto &c : components_) {
+        switch (c.kind) {
+          case ShapeKind::Steady:
+            break;
+          case ShapeKind::FlashCrowd: {
+            const double s = c.start * horizon_seconds;
+            const double e = s + c.duration * horizon_seconds;
+            if (t >= s && t < e) {
+                f *= c.spikeFactor;
+            }
+            break;
+          }
         }
     }
     return f;
@@ -123,82 +102,12 @@ LoadShape::describe() const
           case ShapeKind::Steady:
             out += "steady";
             break;
-          case ShapeKind::Diurnal:
-            out += "diurnal";
-            break;
-          case ShapeKind::Bursty:
-            out += "bursty";
-            break;
           case ShapeKind::FlashCrowd:
             out += "flash";
             break;
         }
     }
     return out.empty() ? "steady" : out;
-}
-
-ShapeEvaluator::ShapeEvaluator(const LoadShape &shape,
-                               double horizon_seconds, std::uint64_t seed)
-    : shape_(shape), horizon_(horizon_seconds),
-      maxFactor_(shape.maxFactor())
-{
-    panic_if(horizon_ <= 0, "shape evaluator needs a positive horizon");
-    const auto &cs = shape_.components();
-    for (std::size_t i = 0; i < cs.size(); ++i) {
-        if (cs[i].kind != ShapeKind::Bursty) {
-            continue;
-        }
-        BurstyState st{i, false, 0,
-                       Rng(seed * 0x9e3779b97f4a7c15ULL + i + 1)};
-        // The process starts OFF; the first flip is one exponential
-        // residency in.
-        const double mean = cs[i].meanResidency * horizon_;
-        st.nextSwitch = -std::log(1.0 - st.rng.uniform()) * mean;
-        bursty_.push_back(st);
-    }
-}
-
-double
-ShapeEvaluator::factor(double t)
-{
-    double f = 1.0;
-    std::size_t next_bursty = 0;
-    const auto &cs = shape_.components();
-    for (std::size_t i = 0; i < cs.size(); ++i) {
-        const ShapeComponent &c = cs[i];
-        switch (c.kind) {
-          case ShapeKind::Steady:
-            break;
-          case ShapeKind::Diurnal: {
-            // Trough at t = 0 so warm-up sees the quiet period.
-            const double phase =
-                2.0 * M_PI * t / (c.period * horizon_);
-            f *= 1.0 - c.amplitude * std::cos(phase);
-            break;
-          }
-          case ShapeKind::Bursty: {
-            BurstyState &st = bursty_[next_bursty++];
-            // Advance the pre-committed switching schedule to t.
-            const double mean = c.meanResidency * horizon_;
-            while (st.nextSwitch <= t) {
-                st.on = !st.on;
-                st.nextSwitch +=
-                    -std::log(1.0 - st.rng.uniform()) * mean;
-            }
-            f *= st.on ? c.onFactor : c.offFactor;
-            break;
-          }
-          case ShapeKind::FlashCrowd: {
-            const double s = c.start * horizon_;
-            const double e = s + c.duration * horizon_;
-            if (t >= s && t < e) {
-                f *= c.spikeFactor;
-            }
-            break;
-          }
-        }
-    }
-    return f;
 }
 
 } // namespace load

@@ -4,16 +4,9 @@
  *
  * A LoadShape describes how the aggregate request rate of a large
  * client population varies over a run: it is a product of modulation
- * components applied to a base Poisson rate. Four component kinds
- * cover the canonical datacenter traffic patterns:
+ * components applied to a base Poisson rate. Two component kinds:
  *
  *  - Steady:     factor 1 everywhere (homogeneous Poisson).
- *  - Diurnal:    1 + amplitude * sin(2*pi * t / period - pi/2), the
- *                day/night swing of a planet-scale user base (starts
- *                at the trough so warm-up sees the quiet period).
- *  - Bursty:     a two-state MMPP (Markov-modulated Poisson process):
- *                exponentially distributed ON/OFF residencies, factor
- *                onFactor while ON and offFactor while OFF.
  *  - FlashCrowd: factor spikeFactor inside one [start, start+duration)
  *                window, 1 outside — a news-event stampede.
  *
@@ -22,10 +15,9 @@
  * therefore natural run length) is 100x another's, and the spike still
  * lands mid-run. The generator converts to seconds at draw time.
  *
- * Components multiply, so `steady().with(diurnal(...)).with(flash())`
- * is a diurnal curve with a spike on top. Evaluation is deterministic:
- * the only stochastic component (Bursty) draws its switching schedule
- * from a seed owned by the evaluator, never from ambient state.
+ * Components multiply, so `flashCrowd(...).with(flashCrowd(...))` is
+ * two spikes, their factors multiplied where they overlap. Evaluation
+ * is a pure function of the shape, the horizon and the time.
  */
 
 #ifndef CEREAL_LOAD_LOAD_SHAPE_HH
@@ -35,28 +27,16 @@
 #include <string>
 #include <vector>
 
-#include "sim/rng.hh"
-
 namespace cereal {
 namespace load {
 
 /** Modulation component kinds; see the file comment. */
-enum class ShapeKind { Steady, Diurnal, Bursty, FlashCrowd };
+enum class ShapeKind { Steady, FlashCrowd };
 
 /** One multiplicative modulation component of a LoadShape. */
 struct ShapeComponent
 {
     ShapeKind kind = ShapeKind::Steady;
-    /** Diurnal: peak-to-mean swing in (0, 1]. */
-    double amplitude = 0;
-    /** Diurnal: cycle length as a fraction of the horizon. */
-    double period = 1.0;
-    /** Bursty: rate factor while the ON state holds (> 1). */
-    double onFactor = 1.0;
-    /** Bursty: rate factor while OFF (in [0, 1]). */
-    double offFactor = 1.0;
-    /** Bursty: mean state residency as a horizon fraction. */
-    double meanResidency = 0.1;
     /** FlashCrowd: spike start as a horizon fraction. */
     double start = 0;
     /** FlashCrowd: spike length as a horizon fraction. */
@@ -73,20 +53,6 @@ class LoadShape
     static LoadShape steady();
 
     /**
-     * Sinusoidal day/night swing: factor 1 +/- @p amplitude across
-     * @p period_frac of the horizon (default one full cycle per run).
-     */
-    static LoadShape diurnal(double amplitude, double period_frac = 1.0);
-
-    /**
-     * Two-state MMPP: factor @p on_factor for exponentially
-     * distributed ON residencies (mean @p mean_residency_frac of the
-     * horizon), @p off_factor in between.
-     */
-    static LoadShape bursty(double on_factor, double off_factor,
-                            double mean_residency_frac = 0.1);
-
-    /**
      * One spike window: factor @p spike_factor over
      * [@p start_frac, @p start_frac + @p duration_frac) of the horizon.
      */
@@ -96,63 +62,26 @@ class LoadShape
     /** Compose: this shape's factors multiplied by @p other's. */
     LoadShape with(const LoadShape &other) const;
 
-    const std::vector<ShapeComponent> &components() const
-    {
-        return components_;
-    }
-
     /**
      * Upper bound on the modulation factor at any instant (thinning
      * envelope for the non-homogeneous Poisson draw).
      */
     double maxFactor() const;
 
+    /**
+     * Modulation factor at @p t seconds of a run whose fractional
+     * times scale to @p horizon_seconds.
+     */
+    double factor(double t, double horizon_seconds) const;
+
     /** The flash-crowd component, or nullptr when none is present. */
     const ShapeComponent *flashComponent() const;
 
-    /** "steady", "diurnal+flash", ... for bench row names and JSON. */
+    /** "steady", "steady+flash", ... for bench row names and JSON. */
     std::string describe() const;
 
   private:
     std::vector<ShapeComponent> components_;
-};
-
-/**
- * Deterministic evaluator of one shape over one run: owns the MMPP
- * switching schedule (drawn lazily from its own seeded Rng) so that
- * factor queries at increasing times are pure and repeatable. One
- * evaluator per arrival stream; queries must not go backwards in time.
- */
-class ShapeEvaluator
-{
-  public:
-    /**
-     * @param horizon_seconds run horizon the fractional times scale to
-     * @param seed            seed for the MMPP switching schedule
-     */
-    ShapeEvaluator(const LoadShape &shape, double horizon_seconds,
-                   std::uint64_t seed);
-
-    /** Modulation factor at @p t seconds (t must not decrease). */
-    double factor(double t);
-
-    /** Thinning envelope: max factor over the whole horizon. */
-    double maxFactor() const { return maxFactor_; }
-
-  private:
-    struct BurstyState
-    {
-        std::size_t component;
-        bool on = false;
-        /** Next state flip, seconds. */
-        double nextSwitch = 0;
-        Rng rng;
-    };
-
-    const LoadShape shape_;
-    double horizon_;
-    double maxFactor_;
-    std::vector<BurstyState> bursty_;
 };
 
 } // namespace load

@@ -204,6 +204,19 @@ class ByteReader
     void
     raw(void *dst, std::size_t n)
     {
+        const std::uint8_t *src = next(n);
+        if (n != 0) { // zero-length reads may pass dst == nullptr
+            std::memcpy(dst, src, n);
+        }
+    }
+
+    /**
+     * Consume the next @p n bytes and return a pointer to them, valid
+     * while the underlying buffer lives: a read with no copy.
+     */
+    const std::uint8_t *
+    next(std::size_t n)
+    {
         // Compare against remaining(): `pos_ + n` would wrap when a
         // corrupted length field yields a huge n.
         if (n > remaining()) {
@@ -211,15 +224,13 @@ class ByteReader
                         "stream underflow (+%zu of %zu remaining)", n,
                         remaining());
         }
-        if (n == 0) {
-            return; // zero-length reads may pass dst == nullptr
-        }
-        if (sink_) {
+        const std::uint8_t *p = buf_->data() + pos_;
+        if (n != 0 && sink_) {
             sink_->load(kStreamBase + pos_,
                         static_cast<std::uint32_t>(n));
         }
-        std::memcpy(dst, buf_->data() + pos_, n);
         pos_ += n;
+        return p;
     }
 
     void

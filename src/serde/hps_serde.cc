@@ -214,9 +214,7 @@ HpsSerializer::serialize(Heap &src, Addr root, MemSink *sink)
                         sink->compute(costs_.bulkPerBlock);
                     }
                 }
-                std::vector<std::uint8_t> tmp(bytes);
-                src.loadBytes(v.elemAddr(0), tmp.data(), bytes);
-                w.raw(tmp.data(), bytes);
+                w.raw(src.view(v.elemAddr(0), bytes), bytes);
             }
             continue;
         }

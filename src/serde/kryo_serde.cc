@@ -154,9 +154,7 @@ KryoSerializer::serialize(Heap &src, Addr root, MemSink *sink)
                         sink->compute(costs_.bulkPerBlock);
                     }
                 }
-                std::vector<std::uint8_t> tmp(bytes);
-                src.loadBytes(v.elemAddr(0), tmp.data(), bytes);
-                w.raw(tmp.data(), bytes);
+                w.raw(src.view(v.elemAddr(0), bytes), bytes);
             }
             continue;
         }
@@ -253,9 +251,7 @@ KryoSerializer::deserialize(const std::vector<std::uint8_t> &stream,
             } else {
                 const unsigned esz = fieldTypeBytes(d.elemType());
                 const Addr bytes = n * esz;
-                std::vector<std::uint8_t> tmp(bytes);
-                r.raw(tmp.data(), bytes);
-                dst.storeBytes(v.elemAddr(0), tmp.data(), bytes);
+                dst.storeBytes(v.elemAddr(0), r.next(bytes), bytes);
                 if (sink) {
                     for (Addr off = 0; off < bytes; off += 64) {
                         std::uint32_t chunk = static_cast<std::uint32_t>(

@@ -170,9 +170,7 @@ SkywaySerializer::deserialize(const std::vector<std::uint8_t> &stream,
     setPhase(sink, "copy");
     Addr base = dst.allocateRaw(data_bytes);
     {
-        std::vector<std::uint8_t> tmp(data_bytes);
-        r.raw(tmp.data(), data_bytes);
-        dst.storeBytes(base, tmp.data(), data_bytes);
+        dst.storeBytes(base, r.next(data_bytes), data_bytes);
         if (sink) {
             for (Addr off = 0; off < data_bytes; off += 64) {
                 auto chunk = static_cast<std::uint32_t>(

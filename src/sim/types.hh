@@ -11,6 +11,7 @@
 #ifndef CEREAL_SIM_TYPES_HH
 #define CEREAL_SIM_TYPES_HH
 
+#include <cmath>
 #include <cstdint>
 #include <limits>
 
@@ -54,6 +55,14 @@ constexpr double
 ticksToSeconds(Tick t)
 {
     return static_cast<double>(t) / static_cast<double>(kTicksPerSecond);
+}
+
+/** Convert seconds to ticks, rounding up to a whole tick. */
+inline Tick
+secondsToTicks(double s)
+{
+    return static_cast<Tick>(
+        std::ceil(s * static_cast<double>(kTicksPerSecond)));
 }
 
 /** Round @p v up to the next multiple of @p align (power of two). */

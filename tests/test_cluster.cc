@@ -3,7 +3,8 @@
  * Tests for the cluster subsystem: partition-frame codec (round trip,
  * every negative status, all-prefix truncation sweep), fabric timing
  * (zero-load latency, per-flow fairness, incast serialization,
- * batching), and the event-driven cluster simulation (all-to-all
+ * batching), the shared transport (header delivery, corrupt-frame
+ * panic), and the event-driven cluster simulation (all-to-all
  * completeness, latency percentiles, load response, determinism, and
  * the Cereal-dominance property the bench asserts at full scale).
  */
@@ -16,6 +17,8 @@
 #include "cluster/fabric.hh"
 #include "cluster/frame.hh"
 #include "cluster/node.hh"
+#include "cluster/serving.hh"
+#include "cluster/transport.hh"
 
 namespace cereal {
 namespace {
@@ -23,6 +26,8 @@ namespace {
 using cluster::Backend;
 using cluster::ClusterConfig;
 using cluster::ClusterSim;
+using cluster::ServingConfig;
+using cluster::runServingFrontend;
 
 Frame
 goldenFrame()
@@ -320,6 +325,53 @@ TEST(Fabric, DeterministicAcrossRuns)
 }
 
 // ---------------------------------------------------------------------
+// Transport
+// ---------------------------------------------------------------------
+
+TEST(Transport, DeliversTheDecodedHeaderAtTheDestination)
+{
+    EventQueue eq;
+    std::vector<std::pair<std::uint32_t, FrameInfo>> got;
+    cluster::Transport net(eq, 3, NetConfig(),
+                           [&](std::uint32_t dst, const FrameInfo &info) {
+                               got.push_back({dst, info});
+                           });
+    const std::vector<std::uint8_t> payload(100, 0x5a);
+    FrameRef f;
+    f.format = 2;
+    f.dstNode = 2;
+    f.partition = 0x12345678;
+    f.payload = payload.data();
+    f.payloadLen = payload.size();
+    net.send(f, 77);
+    eq.runAll();
+
+    ASSERT_EQ(got.size(), 1u);
+    const FrameInfo &info = got[0].second;
+    EXPECT_EQ(got[0].first, 2u);
+    EXPECT_EQ(info.format, 2);
+    EXPECT_EQ(info.srcNode, 0u);
+    EXPECT_EQ(info.partition, 0x12345678u);
+    EXPECT_EQ(info.payloadLen, payload.size());
+    EXPECT_EQ(info.checksum, 77u); // stored, not recomputed
+    EXPECT_EQ(info.payload, nullptr); // the buffer is back in the pool
+    EXPECT_EQ(net.fabric().wireBytes(),
+              kFrameHeaderBytes + payload.size());
+}
+
+TEST(Transport, CorruptFrameIsFatal)
+{
+    EventQueue eq;
+    cluster::Transport net(eq, 2, NetConfig(),
+                           [](std::uint32_t, const FrameInfo &) {});
+    FrameRef f;
+    f.format = kFrameFormatCount; // no such serializer
+    f.dstNode = 1;
+    net.send(f, 0);
+    EXPECT_DEATH(eq.runAll(), "corrupt frame");
+}
+
+// ---------------------------------------------------------------------
 // Cluster simulation (tiny partitions: scale divisor floors the
 // workload builders at their minimum record counts)
 // ---------------------------------------------------------------------
@@ -382,17 +434,29 @@ TEST(ClusterShuffle, DeterministicAcrossRuns)
     EXPECT_DOUBLE_EQ(ra.latency.p95, ra2.latency.p95);
 }
 
+/** The open loop: no admission control, no credit flow control. */
+ServingConfig
+openLoop(double utilization)
+{
+    ServingConfig cfg;
+    cfg.utilization = utilization;
+    cfg.requestsPerNode = 100;
+    cfg.admission.policy = cluster::AdmissionPolicy::None;
+    cfg.flow.enabled = false;
+    return cfg;
+}
+
 TEST(ClusterServing, CompletesAllRequestsAndTailGrowsWithLoad)
 {
     ClusterSim sim(tinyConfig(Backend::Kryo));
-    auto low = sim.runServing(0.4, 100);
-    auto high = sim.runServing(0.95, 100);
+    auto low = runServingFrontend(sim, openLoop(0.4));
+    auto high = runServingFrontend(sim, openLoop(0.95));
 
     EXPECT_EQ(low.completed, low.requests);
     EXPECT_EQ(high.completed, high.requests);
     EXPECT_GT(low.offeredRps, 0.0);
     EXPECT_GT(high.offeredRps, low.offeredRps);
-    EXPECT_GT(high.achievedRps, low.achievedRps);
+    EXPECT_GT(high.goodputRps, low.goodputRps);
     // Open-loop queueing: more load, fatter tail.
     EXPECT_GE(high.latency.p99, low.latency.p99);
     EXPECT_LE(low.latency.p50, low.latency.p99);
@@ -402,9 +466,9 @@ TEST(ClusterServing, DeterministicAcrossRuns)
 {
     ClusterSim a(tinyConfig(Backend::Cereal));
     ClusterSim b(tinyConfig(Backend::Cereal));
-    auto ra = a.runServing(0.7, 100);
-    auto rb = b.runServing(0.7, 100);
-    EXPECT_DOUBLE_EQ(ra.achievedRps, rb.achievedRps);
+    auto ra = runServingFrontend(a, openLoop(0.7));
+    auto rb = runServingFrontend(b, openLoop(0.7));
+    EXPECT_DOUBLE_EQ(ra.goodputRps, rb.goodputRps);
     EXPECT_DOUBLE_EQ(ra.latency.p99, rb.latency.p99);
     EXPECT_DOUBLE_EQ(ra.durationSeconds, rb.durationSeconds);
 }
@@ -417,9 +481,9 @@ TEST(ClusterServing, CerealDominatesJavaFrontier)
     ClusterSim cer(tinyConfig(Backend::Cereal));
     EXPECT_GT(cer.nodeCapacityRps(), java.nodeCapacityRps());
 
-    auto js = java.runServing(0.7, 100);
-    auto cs = cer.runServing(0.7, 100);
-    EXPECT_GT(cs.achievedRps, js.achievedRps);
+    auto js = runServingFrontend(java, openLoop(0.7));
+    auto cs = runServingFrontend(cer, openLoop(0.7));
+    EXPECT_GT(cs.goodputRps, js.goodputRps);
     EXPECT_LT(cs.latency.p99, js.latency.p99);
 
     EXPECT_LT(cer.runShuffle().completionSeconds,

@@ -51,28 +51,29 @@ tinyCluster(Backend b)
 
 TEST(LoadShape, FactorsStayInsideTheEnvelope)
 {
-    auto shape = load::LoadShape::diurnal(0.5)
-                     .with(load::LoadShape::bursty(3.0, 0.25))
-                     .with(load::LoadShape::flashCrowd(4.0, 0.5, 0.1));
-    EXPECT_DOUBLE_EQ(shape.maxFactor(), 1.5 * 3.0 * 4.0);
-    EXPECT_EQ(shape.describe(), "diurnal+bursty+flash");
+    // Two overlapping spikes: their factors multiply inside the
+    // overlap, which is where the envelope is reached.
+    auto shape = load::LoadShape::steady()
+                     .with(load::LoadShape::flashCrowd(4.0, 0.5, 0.1))
+                     .with(load::LoadShape::flashCrowd(3.0, 0.55, 0.2));
+    EXPECT_DOUBLE_EQ(shape.maxFactor(), 4.0 * 3.0);
+    EXPECT_EQ(shape.describe(), "steady+flash+flash");
     ASSERT_NE(shape.flashComponent(), nullptr);
 
-    load::ShapeEvaluator eval(shape, 100.0, 7);
     for (int i = 0; i <= 1000; ++i) {
-        const double f = eval.factor(0.1 * i);
-        EXPECT_GE(f, 0.0);
+        const double f = shape.factor(0.1 * i, 100.0);
+        EXPECT_GE(f, 1.0);
         EXPECT_LE(f, shape.maxFactor() + 1e-12);
     }
+    EXPECT_DOUBLE_EQ(shape.factor(57.0, 100.0), shape.maxFactor());
 }
 
 TEST(LoadShape, FlashCrowdRaisesTheWindowOnly)
 {
     auto shape = load::LoadShape::flashCrowd(5.0, 0.4, 0.2);
-    load::ShapeEvaluator eval(shape, 10.0, 1);
-    EXPECT_DOUBLE_EQ(eval.factor(1.0), 1.0);
-    EXPECT_DOUBLE_EQ(eval.factor(4.5), 5.0);
-    EXPECT_DOUBLE_EQ(eval.factor(6.5), 1.0);
+    EXPECT_DOUBLE_EQ(shape.factor(1.0, 10.0), 1.0);
+    EXPECT_DOUBLE_EQ(shape.factor(4.5, 10.0), 5.0);
+    EXPECT_DOUBLE_EQ(shape.factor(6.5, 10.0), 1.0);
 }
 
 TEST(LoadGen, StreamsAreDeterministicAndSorted)
@@ -81,8 +82,8 @@ TEST(LoadGen, StreamsAreDeterministicAndSorted)
     cfg.nodes = 4;
     cfg.lambdaBase = 100.0;
     cfg.requestsPerNode = 500;
-    cfg.shape = load::LoadShape::diurnal(0.4).with(
-        load::LoadShape::bursty(2.0, 0.5));
+    cfg.shape = load::LoadShape::steady().with(
+        load::LoadShape::flashCrowd(3.0, 0.3, 0.2));
     cfg.seed = 3;
     load::LoadGenerator gen(cfg);
 
@@ -183,7 +184,7 @@ TEST(ServingFrontend, RunsAreDeterministic)
 {
     ClusterSim sim(tinyCluster(Backend::Kryo));
     ServingConfig cfg = controlledConfig(1.2);
-    cfg.shape = load::LoadShape::bursty(2.0, 0.5);
+    cfg.shape = load::LoadShape::flashCrowd(2.0, 0.3, 0.3);
     const auto a = runServingFrontend(sim, cfg);
     const auto b = runServingFrontend(sim, cfg);
     EXPECT_EQ(a.completed, b.completed);
@@ -208,6 +209,25 @@ TEST(ServingFrontend, OpenLoopAdmitsEverything)
     EXPECT_EQ(r.creditsIssued, 0u);
     EXPECT_TRUE(r.creditsConserved);
     EXPECT_DOUBLE_EQ(r.dropRate, 0.0);
+}
+
+TEST(ServingFrontend, MoreThan65535RequestsPerNode)
+{
+    // Request indices past 0xffff per node ride in the frame's u32
+    // partition field instead of a 16-bit packed wire id.
+    ClusterConfig cc = tinyCluster(Backend::Kryo);
+    cc.nodes = 2;
+    ClusterSim sim(cc);
+    ServingConfig cfg = controlledConfig(0.3);
+    cfg.requestsPerNode = 65'537;
+    const auto r = runServingFrontend(sim, cfg);
+    EXPECT_EQ(r.requests, 2u * 65'537u);
+    EXPECT_EQ(r.completed, r.admitted);
+    EXPECT_EQ(r.requests, r.admitted + r.dropped);
+    EXPECT_GT(r.completed, 65'537u);
+    EXPECT_GT(r.creditsIssued, 0u);
+    EXPECT_TRUE(r.creditsConserved);
+    EXPECT_TRUE(r.reqTrace.conserved);
 }
 
 TEST(ServingFrontend, DropPolicyBoundsOccupancyAndDropsUnderOverload)
