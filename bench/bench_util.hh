@@ -12,7 +12,7 @@
  * bench::Options:
  *
  *   bench_<name> [scale] [--threads N] [--json [path]] [--trace <path>]
- *               [--metrics <path> [--metrics-interval N]]
+ *               [--metrics [--metrics-interval N]]
  *
  * --threads N runs the independent sweep points on a work-stealing
  * pool; output (stdout tables, JSON, and traces) is bit-identical to a
@@ -25,9 +25,9 @@
  * document (open in chrome://tracing or https://ui.perfetto.dev) plus
  * a per-component self-time summary on stdout. --metrics samples every
  * instrumented component's time series (see src/metrics) at a fixed
- * tick interval and writes them as CSV (".csv" path) or the Prometheus
- * text exposition format (any other path); the same series are embedded
- * in the --json document. Metrics output is byte-identical across
+ * tick interval and embeds them as a "metrics" member of each point in
+ * the --json document, which is their only output (so --metrics
+ * without --json is fatal). Metrics are byte-identical across
  * --threads values, like everything else.
  *
  * Unknown flags are fatal: a typoed `--thread 4` silently running
@@ -64,9 +64,9 @@ class Options
     std::string jsonPath;
     /** Destination for the Chrome trace; empty = tracing off. */
     std::string tracePath;
-    /** Destination for the metrics export; empty = metrics off.
-     *  ".csv" selects long-form CSV, anything else Prometheus text. */
-    std::string metricsPath;
+    /** Sample time series into each point of the JSON document
+     *  (--metrics; needs --json). */
+    bool metrics = false;
     /** Metrics sampling interval, ticks (0 = recorder default). */
     Tick metricsInterval = 0;
     /**
@@ -115,8 +115,7 @@ class Options
                 fatal_if(i + 1 >= argc, "--trace needs an output path");
                 opts.tracePath = argv[++i];
             } else if (std::strcmp(arg, "--metrics") == 0) {
-                fatal_if(i + 1 >= argc, "--metrics needs an output path");
-                opts.metricsPath = argv[++i];
+                opts.metrics = true;
             } else if (std::strcmp(arg, "--metrics-interval") == 0) {
                 fatal_if(i + 1 >= argc || !isInteger(argv[i + 1]),
                          "--metrics-interval needs a positive tick count");
@@ -135,7 +134,7 @@ class Options
                          " '%s'", argv[i]);
             } else if (std::strcmp(arg, "--help") == 0) {
                 std::printf("usage: %s [scale] [--threads N] [--json [path]]"
-                            " [--trace <path>] [--metrics <path>"
+                            " [--trace <path>] [--metrics"
                             " [--metrics-interval N]] [--trace-sample R]\n",
                             argv[0]);
                 std::printf("  scale          scale divisor (default %llu)\n",
@@ -147,8 +146,8 @@ class Options
                             bench_name != nullptr ? bench_name : "<name>");
                 std::printf("  --trace <path> write a Chrome trace_event"
                             " JSON profile of every point\n");
-                std::printf("  --metrics <path>  write sampled time series"
-                            " (.csv = CSV, else Prometheus text)\n");
+                std::printf("  --metrics      sample time series into each"
+                            " point of the --json document\n");
                 std::printf("  --metrics-interval N  sampling interval in"
                             " ticks (default 1000000 = 1us)\n");
                 std::printf("  --trace-sample R  head-based request-trace"
@@ -161,6 +160,8 @@ class Options
                 fatal("unknown argument '%s' (see --help)", arg);
             }
         }
+        fatal_if(opts.metrics && opts.jsonPath.empty(),
+                 "--metrics needs --json");
         return opts;
     }
 
@@ -192,7 +193,8 @@ banner(const char *experiment, const char *claim)
 
 /**
  * Execute the sweep under @p opts: enables per-point tracing when
- * --trace was given, then runs on the requested worker count.
+ * --trace was given and per-point metrics when --metrics was, then
+ * runs on the requested worker count.
  */
 inline void
 runSweep(runner::SweepRunner &sweep, const Options &opts)
@@ -200,7 +202,7 @@ runSweep(runner::SweepRunner &sweep, const Options &opts)
     if (!opts.tracePath.empty()) {
         sweep.enableTrace();
     }
-    if (!opts.metricsPath.empty()) {
+    if (opts.metrics) {
         sweep.enableMetrics(opts.metricsInterval);
     }
     sweep.run(opts.threads);
@@ -229,10 +231,6 @@ writeBenchOutputs(const runner::SweepRunner &sweep, const Options &opts,
         auto path = sweep.writeTraceFile(opts.tracePath);
         sweep.writeTraceSummary(std::cout);
         std::printf("trace: %s\n", path.c_str());
-    }
-    if (!opts.metricsPath.empty()) {
-        auto path = sweep.writeMetricsFile(opts.metricsPath);
-        std::printf("metrics: %s\n", path.c_str());
     }
 }
 

@@ -13,11 +13,10 @@ set(json_plain ${WORKDIR}/${NAME}_plain.json)
 set(json_trace ${WORKDIR}/${NAME}_trace.json)
 set(json_metrics ${WORKDIR}/${NAME}_metrics.json)
 set(trace_out ${WORKDIR}/${NAME}_observed.trace.json)
-set(prom_out ${WORKDIR}/${NAME}_observed.prom)
 
 foreach(run "${json_plain}"
             "${json_trace};--trace;${trace_out}"
-            "${json_metrics};--trace;${trace_out};--metrics;${prom_out}")
+            "${json_metrics};--trace;${trace_out};--metrics")
   list(POP_FRONT run out)
   execute_process(
     COMMAND ${BENCH} ${scale} --json ${out} ${run}

@@ -1,6 +1,5 @@
 #include "metrics/metrics.hh"
 
-#include <algorithm>
 #include <utility>
 
 #include "sim/json.hh"
@@ -255,25 +254,6 @@ MetricsRecorder::writeJson(json::Writer &w) const
     w.endObject();
 }
 
-void
-MetricsRecorder::writeCsvHeader(std::ostream &os)
-{
-    os << "point,series,kind,tick,value\n";
-}
-
-void
-MetricsRecorder::writeCsvRows(std::ostream &os,
-                              const std::string &point) const
-{
-    for (const auto &s : series_) {
-        for (const auto &sm : s.samples()) {
-            os << point << ',' << s.name() << ',' << kindName(s.kind())
-               << ',' << sm.tick << ',' << json::formatDouble(sm.value)
-               << '\n';
-        }
-    }
-}
-
 // -------------------------------------------------------------- Group
 
 Group::Group(MetricsRecorder *r, const std::string &prefix) : rec_(r)
@@ -388,27 +368,6 @@ Group::gaugeFromStat(const stats::StatGroup &sg,
 }
 
 void
-Group::bindStatGroup(const stats::StatGroup &sg)
-{
-    if (rec_ == nullptr) {
-        return;
-    }
-    for (const auto &e : sg.entries()) {
-        gaugeFromStat(sg, e.name);
-    }
-}
-
-void
-Group::histogram(const char *name, const char *help,
-                 const stats::Distribution &d)
-{
-    if (rec_ == nullptr) {
-        return;
-    }
-    rec_->recordHistogram(prefix_ + "." + name, help, d);
-}
-
-void
 Group::tickSlow(Tick now)
 {
     rec_->tickSeries(ids_, now);
@@ -430,142 +389,6 @@ ScopedMetrics::ScopedMetrics(MetricsRecorder &rec) : prev_(tls_recorder)
 ScopedMetrics::~ScopedMetrics()
 {
     tls_recorder = prev_;
-}
-
-// -------------------------------------------------- merged exporters
-
-void
-writeCsv(std::ostream &os, const std::vector<MetricsPoint> &points)
-{
-    MetricsRecorder::writeCsvHeader(os);
-    for (const auto &p : points) {
-        p.recorder->writeCsvRows(os, p.name);
-    }
-}
-
-std::string
-promName(const std::string &series_name)
-{
-    std::string out = "cereal_";
-    for (char c : series_name) {
-        const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                        (c >= '0' && c <= '9') || c == '_' || c == ':';
-        out.push_back(ok ? c : '_');
-    }
-    return out;
-}
-
-void
-writeProm(std::ostream &os, const std::vector<MetricsPoint> &points)
-{
-    // Escape a label value per the exposition format.
-    auto esc = [](const std::string &s) {
-        std::string out;
-        for (char c : s) {
-            if (c == '\\' || c == '"') {
-                out.push_back('\\');
-                out.push_back(c);
-            } else if (c == '\n') {
-                out += "\\n";
-            } else {
-                out.push_back(c);
-            }
-        }
-        return out;
-    };
-
-    // Group sample lines by family (sanitized name) so each family is
-    // one contiguous block after its HELP/TYPE header, as the format
-    // requires. Families keep first-seen order for determinism.
-    struct Family
-    {
-        std::string help;
-        Kind kind;
-        std::vector<std::string> lines;
-    };
-    std::vector<std::pair<std::string, Family>> families;
-    auto family = [&](const std::string &name, const std::string &help,
-                      Kind kind) -> Family & {
-        for (auto &[n, f] : families) {
-            if (n == name) {
-                return f;
-            }
-        }
-        families.push_back({name, {help, kind, {}}});
-        return families.back().second;
-    };
-
-    for (const auto &p : points) {
-        for (const auto &s : p.recorder->series()) {
-            if (s.sampleCount() == 0) {
-                continue; // nothing observed; deterministic skip
-            }
-            const std::string fam = promName(s.name());
-            Family &f = family(fam, s.help(), s.kind());
-            const Sample last = s.last();
-            f.lines.push_back(
-                fam + "{point=\"" + esc(p.name) + "\",series=\"" +
-                esc(s.name()) + "\"} " + json::formatDouble(last.value) +
-                " " + std::to_string(last.tick));
-        }
-    }
-
-    for (const auto &[name, f] : families) {
-        os << "# HELP " << name << ' ' << (f.help.empty() ? "-" : f.help)
-           << '\n';
-        // Rates/ratios are windowed derivations sampled as gauges.
-        os << "# TYPE " << name << " gauge\n";
-        for (const auto &line : f.lines) {
-            os << line << '\n';
-        }
-    }
-
-    // Histogram snapshots: one exposition-format histogram family per
-    // snapshot name, cumulative le buckets plus +Inf/_sum/_count.
-    struct HistFamily
-    {
-        std::string help;
-        std::vector<std::string> lines;
-    };
-    std::vector<std::pair<std::string, HistFamily>> histFams;
-    auto histFamily = [&](const std::string &name,
-                          const std::string &help) -> HistFamily & {
-        for (auto &[n, f] : histFams) {
-            if (n == name) {
-                return f;
-            }
-        }
-        histFams.push_back({name, {help, {}}});
-        return histFams.back().second;
-    };
-    for (const auto &p : points) {
-        for (const auto &h : p.recorder->histograms()) {
-            const std::string fam = promName(h.name);
-            HistFamily &f = histFamily(fam, h.help);
-            const std::string labels =
-                "point=\"" + esc(p.name) + "\",series=\"" + esc(h.name) +
-                "\"";
-            for (std::size_t i = 0; i < h.bounds.size(); ++i) {
-                f.lines.push_back(fam + "_bucket{" + labels + ",le=\"" +
-                                  json::formatDouble(h.bounds[i]) +
-                                  "\"} " + std::to_string(h.counts[i]));
-            }
-            f.lines.push_back(fam + "_bucket{" + labels + ",le=\"+Inf\"} " +
-                              std::to_string(h.count));
-            f.lines.push_back(fam + "_sum{" + labels + "} " +
-                              json::formatDouble(h.sum));
-            f.lines.push_back(fam + "_count{" + labels + "} " +
-                              std::to_string(h.count));
-        }
-    }
-    for (const auto &[name, f] : histFams) {
-        os << "# HELP " << name << ' ' << (f.help.empty() ? "-" : f.help)
-           << '\n';
-        os << "# TYPE " << name << " histogram\n";
-        for (const auto &line : f.lines) {
-            os << line << '\n';
-        }
-    }
 }
 
 } // namespace metrics

@@ -34,14 +34,15 @@
  * and owned by one sweep point; registration happens in program order;
  * samples depend only on simulated time. An N-thread bench run
  * therefore produces byte-identical metrics documents to a serial run
- * (runner::SweepRunner keeps per-point recorders in registration-order
- * slots).
+ * (runner::SweepRunner gives each point its own recorder and keeps the
+ * rendered fragments in registration-order slots).
  *
- * Exports: compact JSON (embedded in `BENCH_<name>.json` points), CSV
- * (long form: point,series,kind,tick,value) and the Prometheus text
- * exposition format (one family per series, last sample per series,
- * `point`/`series` labels; the timestamp column carries simulated
- * ticks).
+ * Export: one compact JSON member per point, embedded in the point's
+ * object of `BENCH_<name>.json` (MetricsRecorder::writeJson). It
+ * carries every retained sample of every series with its kind, help
+ * and dropped count, plus each histogram snapshot's cumulative
+ * buckets, so every sampled number is traceable from that document
+ * alone.
  */
 
 #ifndef CEREAL_METRICS_METRICS_HH
@@ -49,7 +50,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -196,12 +196,6 @@ class MetricsRecorder
     void recordHistogram(const std::string &name, const std::string &help,
                          const stats::Distribution &d);
 
-    /** Recorded histogram snapshots in record order. */
-    const std::vector<HistogramSnapshot> &histograms() const
-    {
-        return histograms_;
-    }
-
     /**
      * Uniquify @p prefix against every prefix handed out so far: first
      * use returns it verbatim, later uses get "#1", "#2", ... appended
@@ -214,12 +208,6 @@ class MetricsRecorder
      * JSON object: interval plus every series with its sample columns.
      */
     void writeJson(json::Writer &w) const;
-
-    /** Long-form CSV rows (no header): point,series,kind,tick,value. */
-    void writeCsvRows(std::ostream &os, const std::string &point) const;
-
-    /** CSV header line matching writeCsvRows(). */
-    static void writeCsvHeader(std::ostream &os);
 
   private:
     friend class Group;
@@ -291,13 +279,6 @@ class Group
     void gaugeFromStat(const stats::StatGroup &sg,
                        const std::string &stat_name);
 
-    /** gaugeFromStat() for every entry of @p sg. */
-    void bindStatGroup(const stats::StatGroup &sg);
-
-    /** recordHistogram() under "<prefix>.<name>" (see the recorder). */
-    void histogram(const char *name, const char *help,
-                   const stats::Distribution &d);
-
     /**
      * Sample every series of this group at each interval boundary in
      * (last boundary, now]. Clocks that move backwards (a component
@@ -342,27 +323,6 @@ class ScopedMetrics
   private:
     MetricsRecorder *prev_;
 };
-
-/** One point's worth of metrics for the merged exporters below. */
-struct MetricsPoint
-{
-    std::string name;
-    const MetricsRecorder *recorder;
-};
-
-/** Merged CSV document (header + rows per point, point order). */
-void writeCsv(std::ostream &os, const std::vector<MetricsPoint> &points);
-
-/**
- * Merged Prometheus text exposition: families in first-seen order,
- * `# HELP`/`# TYPE` once per family, one sample line (the series' last
- * sample) per point, labelled {point="...",series="..."}. Series names
- * are sanitized to [a-zA-Z0-9_:] and prefixed "cereal_".
- */
-void writeProm(std::ostream &os, const std::vector<MetricsPoint> &points);
-
-/** Sanitized Prometheus family name for @p series_name. */
-std::string promName(const std::string &series_name);
 
 } // namespace metrics
 } // namespace cereal

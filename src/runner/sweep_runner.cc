@@ -4,6 +4,7 @@
 #include <iostream>
 #include <sstream>
 
+#include "metrics/metrics.hh"
 #include "runner/thread_pool.hh"
 #include "sim/logging.hh"
 
@@ -14,6 +15,30 @@ namespace {
 
 /** Depth of a point fragment inside the final document. */
 constexpr std::size_t kPointDepth = 2;
+
+/**
+ * Render through @p write to @p path ("" -> no-op, "-" -> stdout),
+ * failing loudly on an unopenable or short-written file. Returns the
+ * path written.
+ */
+template <typename WriteFn>
+std::string
+writeToPath(const std::string &path, WriteFn write)
+{
+    if (path.empty()) {
+        return "";
+    }
+    if (path == "-") {
+        write(std::cout);
+        return path;
+    }
+    std::ofstream os(path, std::ios::binary);
+    fatal_if(!os, "cannot open %s for writing", path.c_str());
+    write(os);
+    os.flush();
+    fatal_if(!os, "write to %s failed", path.c_str());
+    return path;
+}
 
 } // namespace
 
@@ -26,9 +51,6 @@ SweepRunner::run(unsigned threads)
     if (traceEnabled_) {
         pointTrace_.resize(points_.size());
     }
-    if (metricsEnabled_) {
-        pointMetrics_.resize(points_.size());
-    }
 
     auto run_point = [this](std::size_t i) {
         std::unique_ptr<trace::ScopedTrace> scope;
@@ -36,21 +58,23 @@ SweepRunner::run(unsigned threads)
             pointTrace_[i] = std::make_unique<trace::ChromeTraceSink>();
             scope = std::make_unique<trace::ScopedTrace>(*pointTrace_[i]);
         }
+        // The point's JSON fragment is the recorder's only reader, so
+        // the recorder lives exactly as long as the point.
+        std::unique_ptr<metrics::MetricsRecorder> recorder;
         std::unique_ptr<metrics::ScopedMetrics> mscope;
         if (metricsEnabled_) {
-            pointMetrics_[i] = std::make_unique<metrics::MetricsRecorder>(
+            recorder = std::make_unique<metrics::MetricsRecorder>(
                 metricsInterval_ ? metricsInterval_
                                  : metrics::MetricsRecorder::kDefaultInterval);
-            mscope =
-                std::make_unique<metrics::ScopedMetrics>(*pointMetrics_[i]);
+            mscope = std::make_unique<metrics::ScopedMetrics>(*recorder);
         }
         std::ostringstream ss;
         json::Writer w(ss, 2, kPointDepth);
         w.beginObject();
         w.kv("name", points_[i].name);
         points_[i].fn(w);
-        if (metricsEnabled_) {
-            pointMetrics_[i]->writeJson(w);
+        if (recorder) {
+            recorder->writeJson(w);
         }
         w.endObject();
         panic_if(!w.balanced(),
@@ -71,15 +95,6 @@ SweepRunner::run(unsigned threads)
         pool.submit([&run_point, i] { run_point(i); });
     }
     pool.wait();
-}
-
-const std::string &
-SweepRunner::pointJson(std::size_t i) const
-{
-    panic_if(!ran_, "pointJson() before run()");
-    panic_if(i >= pointJson_.size(), "pointJson(%zu): only %zu points",
-             i, pointJson_.size());
-    return pointJson_[i];
 }
 
 void
@@ -114,16 +129,6 @@ SweepRunner::writeJson(std::ostream &os,
     os << "\n";
 }
 
-const trace::ChromeTraceSink &
-SweepRunner::pointTrace(std::size_t i) const
-{
-    panic_if(!ran_ || !traceEnabled_,
-             "pointTrace() needs enableTrace() before run()");
-    panic_if(i >= pointTrace_.size(), "pointTrace(%zu): only %zu points",
-             i, pointTrace_.size());
-    return *pointTrace_[i];
-}
-
 std::vector<trace::TracePoint>
 SweepRunner::tracePoints() const
 {
@@ -146,19 +151,8 @@ SweepRunner::writeTrace(std::ostream &os) const
 std::string
 SweepRunner::writeTraceFile(const std::string &path) const
 {
-    if (path.empty()) {
-        return "";
-    }
-    if (path == "-") {
-        writeTrace(std::cout);
-        return path;
-    }
-    std::ofstream os(path, std::ios::binary);
-    fatal_if(!os, "cannot open %s for writing", path.c_str());
-    writeTrace(os);
-    os.flush();
-    fatal_if(!os, "write to %s failed", path.c_str());
-    return path;
+    return writeToPath(path,
+                       [this](std::ostream &os) { writeTrace(os); });
 }
 
 void
@@ -175,83 +169,13 @@ SweepRunner::enableMetrics(Tick interval)
     metricsInterval_ = interval;
 }
 
-const metrics::MetricsRecorder &
-SweepRunner::pointMetrics(std::size_t i) const
-{
-    panic_if(!ran_ || !metricsEnabled_,
-             "pointMetrics() needs enableMetrics() before run()");
-    panic_if(i >= pointMetrics_.size(),
-             "pointMetrics(%zu): only %zu points", i,
-             pointMetrics_.size());
-    return *pointMetrics_[i];
-}
-
-std::vector<metrics::MetricsPoint>
-SweepRunner::metricsPoints() const
-{
-    panic_if(!ran_ || !metricsEnabled_,
-             "metrics output needs enableMetrics() before run()");
-    std::vector<metrics::MetricsPoint> pts;
-    pts.reserve(points_.size());
-    for (std::size_t i = 0; i < points_.size(); ++i) {
-        pts.push_back({points_[i].name, pointMetrics_[i].get()});
-    }
-    return pts;
-}
-
-void
-SweepRunner::writeMetricsCsv(std::ostream &os) const
-{
-    metrics::writeCsv(os, metricsPoints());
-}
-
-void
-SweepRunner::writeMetricsProm(std::ostream &os) const
-{
-    metrics::writeProm(os, metricsPoints());
-}
-
-std::string
-SweepRunner::writeMetricsFile(const std::string &path) const
-{
-    if (path.empty()) {
-        return "";
-    }
-    const bool csv = path.size() >= 4 &&
-                     path.compare(path.size() - 4, 4, ".csv") == 0;
-    if (path == "-") {
-        writeMetricsProm(std::cout);
-        return path;
-    }
-    std::ofstream os(path, std::ios::binary);
-    fatal_if(!os, "cannot open %s for writing", path.c_str());
-    if (csv) {
-        writeMetricsCsv(os);
-    } else {
-        writeMetricsProm(os);
-    }
-    os.flush();
-    fatal_if(!os, "write to %s failed", path.c_str());
-    return path;
-}
-
 std::string
 SweepRunner::writeJsonFile(const std::string &path,
                            const std::vector<ConfigKv> &config) const
 {
-    if (path.empty()) {
-        return "";
-    }
-    if (path == "-") {
-        writeJson(std::cout, config);
-        return path;
-    }
-    std::ofstream os(path, std::ios::binary);
-    fatal_if(!os, "cannot open %s for writing", path.c_str());
-    writeJson(os, config);
-    os.flush();
-    fatal_if(!os, "write to %s failed", path.c_str());
-    return path;
+    return writeToPath(path, [this, &config](std::ostream &os) {
+        writeJson(os, config);
+    });
 }
 
 } // namespace runner

@@ -36,8 +36,8 @@
 #include <utility>
 #include <vector>
 
-#include "metrics/metrics.hh"
 #include "sim/json.hh"
+#include "sim/types.hh"
 #include "trace/chrome_trace.hh"
 
 namespace cereal {
@@ -96,41 +96,21 @@ class SweepRunner
      * thread counts, like the JSON.
      */
     void enableTrace() { traceEnabled_ = true; }
-    bool traceEnabled() const { return traceEnabled_; }
-
-    /** Trace sink of point @p i (enableTrace() + run() required). */
-    const trace::ChromeTraceSink &pointTrace(std::size_t i) const;
 
     /**
      * Record time-series metrics for every point. Must be called
      * before run(): each point gets its own metrics::MetricsRecorder
      * installed as the ambient recorder (metrics::ScopedMetrics) for
      * the point's duration, and the recorded series are embedded as a
-     * "metrics" member of the point's JSON object. Recorders live in
-     * registration-order slots, so all metrics documents are
-     * byte-identical across thread counts, like the JSON and traces.
+     * "metrics" member of the point's JSON object. That member is the
+     * recorder's only reader, so the recorder is freed when the point
+     * ends; the fragment lands in the point's registration-order slot
+     * and the document stays byte-identical across thread counts.
      *
      * @param interval sampling interval in ticks (0 -> the recorder
      *        default of 1 us simulated time)
      */
     void enableMetrics(Tick interval = 0);
-    bool metricsEnabled() const { return metricsEnabled_; }
-
-    /** Metrics recorder of point @p i (enableMetrics() + run()). */
-    const metrics::MetricsRecorder &pointMetrics(std::size_t i) const;
-
-    /** Merged long-form CSV document over all points. */
-    void writeMetricsCsv(std::ostream &os) const;
-
-    /** Merged Prometheus text exposition over all points. */
-    void writeMetricsProm(std::ostream &os) const;
-
-    /**
-     * Write the merged metrics to @p path ("" -> no-op, "-" -> stdout
-     * as Prometheus text). A ".csv" suffix selects CSV, anything else
-     * the Prometheus exposition. Returns the path written.
-     */
-    std::string writeMetricsFile(const std::string &path) const;
 
     /** Render the merged Chrome trace_event document. */
     void writeTrace(std::ostream &os) const;
@@ -155,9 +135,6 @@ class SweepRunner
         summary_ = std::move(fn);
     }
 
-    /** Rendered JSON fragment of point @p i (run() must be done). */
-    const std::string &pointJson(std::size_t i) const;
-
     /** Render the whole document to @p os. */
     void writeJson(std::ostream &os,
                    const std::vector<ConfigKv> &config = {}) const;
@@ -177,13 +154,11 @@ class SweepRunner
     };
 
     std::vector<trace::TracePoint> tracePoints() const;
-    std::vector<metrics::MetricsPoint> metricsPoints() const;
 
     std::string benchName_;
     std::vector<Point> points_;
     std::vector<std::string> pointJson_;
     std::vector<std::unique_ptr<trace::ChromeTraceSink>> pointTrace_;
-    std::vector<std::unique_ptr<metrics::MetricsRecorder>> pointMetrics_;
     PointFn summary_;
     bool traceEnabled_ = false;
     bool metricsEnabled_ = false;

@@ -3,9 +3,9 @@
  * Tests for the time-series metrics layer: series kinds and sampling
  * semantics, ring-buffer bounding, prefix uniquification, RAII detach,
  * the StatGroup bridge, the disabled (no ambient recorder) path, the
- * three exporters (JSON/CSV/Prometheus), byte-determinism of sweep
- * metrics across thread counts on both the micro and cluster stacks,
- * and the pinned golden CSV of a small Figure-10-style run.
+ * JSON export, byte-determinism of sweep metrics across thread counts
+ * on both the micro and cluster stacks, and the pinned golden JSON of
+ * a small Figure-10-style run.
  */
 
 #include <gtest/gtest.h>
@@ -207,67 +207,6 @@ TEST(Metrics, GaugeFromStatPanicsOnUnknownName)
 
 // ----------------------------------------------------------- exports
 
-TEST(MetricsExport, CsvIsLongFormWithHeader)
-{
-    MetricsRecorder rec(100);
-    Group g(&rec, "comp");
-    g.gauge("depth", "", [](Tick t) { return static_cast<double>(t); });
-    g.tick(200);
-
-    std::ostringstream ss;
-    metrics::writeCsv(ss, {{"pt", &rec}});
-    EXPECT_EQ(ss.str(),
-              "point,series,kind,tick,value\n"
-              "pt,comp.depth,gauge,100,100\n"
-              "pt,comp.depth,gauge,200,200\n");
-}
-
-TEST(MetricsExport, PromFamiliesAreContiguousAndSanitized)
-{
-    MetricsRecorder a(100), b(100);
-    Group ga(&a, "mem.dram");
-    Group gb(&b, "mem.dram");
-    ga.gauge("bw", "bandwidth", [](Tick) { return 0.5; });
-    gb.gauge("bw", "bandwidth", [](Tick) { return 0.25; });
-    ga.tick(100);
-    gb.tick(100);
-
-    std::ostringstream ss;
-    metrics::writeProm(ss, {{"p1", &a}, {"p2", &b}});
-    const std::string doc = ss.str();
-    EXPECT_EQ(doc,
-              "# HELP cereal_mem_dram_bw bandwidth\n"
-              "# TYPE cereal_mem_dram_bw gauge\n"
-              "cereal_mem_dram_bw{point=\"p1\",series=\"mem.dram.bw\"}"
-              " 0.5 100\n"
-              "cereal_mem_dram_bw{point=\"p2\",series=\"mem.dram.bw\"}"
-              " 0.25 100\n");
-}
-
-TEST(MetricsExport, PromSkipsEmptySeriesAndEscapesLabels)
-{
-    MetricsRecorder rec(100);
-    Group g(&rec, "comp");
-    g.gauge("never", "", [](Tick) { return 0.0; });
-    std::ostringstream ss;
-    metrics::writeProm(ss, {{"quote\"back\\slash", &rec}});
-    EXPECT_TRUE(ss.str().empty());
-
-    g.tick(100);
-    std::ostringstream ss2;
-    metrics::writeProm(ss2, {{"quote\"back\\slash", &rec}});
-    EXPECT_NE(ss2.str().find("point=\"quote\\\"back\\\\slash\""),
-              std::string::npos);
-}
-
-TEST(MetricsExport, PromNameSanitizesToMetricCharset)
-{
-    EXPECT_EQ(metrics::promName("mem.dram.ch0.bw_util"),
-              "cereal_mem_dram_ch0_bw_util");
-    EXPECT_EQ(metrics::promName("cpu.core#1.ipc"),
-              "cereal_cpu_core_1_ipc");
-}
-
 TEST(MetricsExport, JsonFragmentCarriesSeriesColumns)
 {
     MetricsRecorder rec(100);
@@ -320,25 +259,16 @@ TEST(SweepMetrics, MicroMetricsAreByteIdenticalAcrossThreadCounts)
     auto serial = runMicroSweep(1);
     auto parallel = runMicroSweep(4);
 
-    std::ostringstream cs, cp, ps, pp, js, jp;
-    serial.writeMetricsCsv(cs);
-    parallel.writeMetricsCsv(cp);
-    serial.writeMetricsProm(ps);
-    parallel.writeMetricsProm(pp);
+    std::ostringstream js, jp;
     serial.writeJson(js);
     parallel.writeJson(jp);
-
-    EXPECT_FALSE(cs.str().empty());
-    EXPECT_EQ(cs.str(), cp.str());
-    EXPECT_FALSE(ps.str().empty());
-    EXPECT_EQ(ps.str(), pp.str());
     EXPECT_EQ(js.str(), jp.str());
 
     // The instrumented components all showed up.
     for (const char *needle :
          {"mem.dram.bw_util", "cpu.core.miss_window",
           "cereal.accel.su_busy_frac", "mem.dram.row_hit_rate"}) {
-        EXPECT_NE(cs.str().find(needle), std::string::npos)
+        EXPECT_NE(js.str().find(needle), std::string::npos)
             << "missing series " << needle;
     }
 }
@@ -371,18 +301,14 @@ TEST(SweepMetrics, ClusterMetricsAreByteIdenticalAcrossThreadCounts)
     auto serial = runClusterSweep(1);
     auto parallel = runClusterSweep(4);
 
-    std::ostringstream cs, cp, ps, pp;
-    serial.writeMetricsCsv(cs);
-    parallel.writeMetricsCsv(cp);
-    serial.writeMetricsProm(ps);
-    parallel.writeMetricsProm(pp);
-    EXPECT_FALSE(cs.str().empty());
-    EXPECT_EQ(cs.str(), cp.str());
-    EXPECT_EQ(ps.str(), pp.str());
+    std::ostringstream js, jp;
+    serial.writeJson(js);
+    parallel.writeJson(jp);
+    EXPECT_EQ(js.str(), jp.str());
 
     for (const char *needle :
          {"cluster.fabric.n0.tx_util", "cluster.n0.queue_len"}) {
-        EXPECT_NE(cs.str().find(needle), std::string::npos)
+        EXPECT_NE(js.str().find(needle), std::string::npos)
             << "missing series " << needle;
     }
 }
@@ -400,16 +326,17 @@ TEST(SweepMetrics, MetricsOffInstallsNoAmbientRecorder)
     EXPECT_TRUE(ran);
 }
 
-// -------------------------------------------------------- golden CSV
+// ------------------------------------------------------- golden JSON
 
 /**
- * Pinned golden metrics CSV of a tiny fig10-style run. Regenerate
- * after a deliberate instrumentation/model change with:
+ * Pinned golden JSON document of a tiny fig10-style run with metrics
+ * on: the point's reported seconds plus every sampled series.
+ * Regenerate after a deliberate instrumentation/model change with:
  *
  *   CEREAL_UPDATE_GOLDEN=1 ./build/tests/test_metrics \
  *       --gtest_filter='GoldenMetrics.*'
  */
-TEST(GoldenMetrics, SmallFig10RunMatchesPinnedCsv)
+TEST(GoldenMetrics, SmallFig10RunMatchesPinnedJson)
 {
     runner::SweepRunner sweep("fig10_small");
     sweep.add("tree-narrow", [](json::Writer &w) {
@@ -427,11 +354,11 @@ TEST(GoldenMetrics, SmallFig10RunMatchesPinnedCsv)
     sweep.enableMetrics();
     sweep.run(1);
     std::ostringstream ss;
-    sweep.writeMetricsCsv(ss);
+    sweep.writeJson(ss);
     const std::string doc = ss.str();
 
     const std::string path =
-        std::string(CEREAL_GOLDEN_DIR) + "/metrics_fig10_small.csv";
+        std::string(CEREAL_GOLDEN_DIR) + "/metrics_fig10_small.json";
     if (std::getenv("CEREAL_UPDATE_GOLDEN") != nullptr) {
         std::ofstream out(path, std::ios::binary | std::ios::trunc);
         ASSERT_TRUE(out.good()) << "cannot write " << path;
@@ -445,15 +372,15 @@ TEST(GoldenMetrics, SmallFig10RunMatchesPinnedCsv)
     std::stringstream golden;
     golden << in.rdbuf();
     EXPECT_EQ(doc, golden.str())
-        << "metrics output drifted from the pinned golden CSV; if the "
+        << "metrics output drifted from the pinned golden JSON; if the "
            "change is deliberate, regenerate with CEREAL_UPDATE_GOLDEN=1";
 }
 
 /**
  * Pinned golden of the log-bucketed histogram export: a fixed latency
  * population snapshotted through recordHistogram() and rendered as the
- * Prometheus text exposition plus the JSON fragment. Regenerate after
- * a deliberate ladder/exporter change with:
+ * JSON fragment. Regenerate after a deliberate ladder/exporter change
+ * with:
  *
  *   CEREAL_UPDATE_GOLDEN=1 ./build/tests/test_metrics \
  *       --gtest_filter='GoldenMetrics.*'
@@ -471,8 +398,6 @@ TEST(GoldenMetrics, HistogramExportMatchesPinnedGolden)
                         lat);
 
     std::ostringstream doc;
-    metrics::writeProm(doc, {{"golden-pt", &rec}});
-    doc << "--- json ---\n";
     {
         json::Writer w(doc, 2);
         w.beginObject();
