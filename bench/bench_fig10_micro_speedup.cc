@@ -17,9 +17,14 @@
  *    Cereal per direction. Paper: ser Java 2.71%, Kryo 4.12%, Cereal
  *    20.9% average (up to 74.5%); deser 3.48% / 4.50% / 31.1% (up to
  *    83.3%).
+ *  - Table IV: serialized sizes of Java S/D, Kryo and Cereal, in MB at
+ *    this run's scale. Paper (MB, paper-size graphs): Cereal sits
+ *    between Java and Kryo on value-dominated shapes (Tree, List) and
+ *    wins on the reference-dominated Graphs thanks to object packing.
  */
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 
 #include "bench/bench_util.hh"
@@ -41,6 +46,9 @@ struct Row
     double ipcJ, ipcK, llcJ, llcK, bwJ, bwK, spd;
     // Figure 11: bandwidth utilisation per direction.
     double sj, sk, sc, dj, dk, dc;
+    // Table IV: serialized stream bytes, and Cereal's over Java's.
+    std::uint64_t bj, bk, bc;
+    double cj;
 };
 
 } // namespace
@@ -104,7 +112,12 @@ main(int argc, char **argv)
                        mc.serBandwidth,
                        mj.deserBandwidth,
                        mk.deserBandwidth,
-                       mc.deserBandwidth};
+                       mc.deserBandwidth,
+                       mj.streamBytes,
+                       mk.streamBytes,
+                       mc.streamBytes,
+                       static_cast<double>(mc.streamBytes) /
+                           static_cast<double>(mj.streamBytes)};
 
             const Row &r = rows[i];
             mj.writeJson(w, "java");
@@ -124,6 +137,7 @@ main(int argc, char **argv)
             w.kv("bandwidth_java", r.bwJ);
             w.kv("bandwidth_kryo", r.bwK);
             w.kv("kryo_speedup", r.spd);
+            w.kv("cereal_over_java_ratio", r.cj);
         });
     }
 
@@ -227,6 +241,23 @@ main(int argc, char **argv)
                 "", pct_max(&Row::sc), "", "", pct_max(&Row::dc));
     std::printf("(paper avg)   |    2.71    4.12   20.90 |    3.48    "
                 "4.50   31.10\n");
+
+    std::printf("\n");
+    bench::banner("Table IV: serialized sizes across microbenchmarks",
+                  "MB java/kryo/cereal on paper-size graphs: tree-narrow "
+                  "23.0/12.0/16.1, tree-wide 148.6/48.0/80.0, list-small "
+                  "8.0/2.5/16.0, list-large 59.4/10.0/47.8, graph-sparse "
+                  "22.1/10.8/2.4, graph-dense 115.5/51.1/2.4");
+    std::printf("%-13s | %10s %10s %10s | %8s\n", "workload", "java(MB)",
+                "kryo(MB)", "cereal(MB)", "C/J ratio");
+    for (std::size_t i = 0; i < benches.size(); ++i) {
+        const Row &r = rows[i];
+        std::printf("%-13s | %10.4f %10.4f %10.4f | %8.2f\n",
+                    microBenchName(benches[i]), r.bj / 1e6, r.bk / 1e6,
+                    r.bc / 1e6, r.cj);
+    }
+    std::printf("MB columns are measured at this run's scale; the "
+                "paper's are at paper-size graphs\n");
     std::printf("scale divisor: %llu (paper-size graphs / %llu)\n",
                 (unsigned long long)opts.scale,
                 (unsigned long long)opts.scale);

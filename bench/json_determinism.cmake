@@ -1,7 +1,8 @@
 # Runs a bench binary twice -- serial and with 8 worker threads -- and
 # fails unless the two JSON documents and the two Chrome trace
 # documents are byte-identical. Both runs pass --metrics, so the JSON
-# compared carries every sampled time series as well. Invoked
+# compared carries every sampled time series as well. A pass removes
+# all four outputs; a failure keeps the pair its message names. Invoked
 # by ctest (see add_test in CMakeLists.txt) with:
 #   -DBENCH=<path to bench binary> -DWORKDIR=<scratch dir> -DNAME=<id>
 # A large scale divisor keeps the runtime in seconds while still
@@ -47,3 +48,5 @@ if(NOT trace_diff EQUAL 0)
           "trace output differs between --threads 1 and --threads 8: "
           "${trace1} vs ${trace8}")
 endif()
+
+file(REMOVE ${json1} ${json8} ${trace1} ${trace8})

@@ -5,6 +5,8 @@
 #   (b) the --trace --metrics document equals the plain one byte for
 #       byte once each point's "metrics" member (the sampled time
 #       series the flag adds) is cut out.
+# A pass removes the three JSON documents; a failure keeps the ones its
+# message names.
 # Invoked by ctest (see add_test in CMakeLists.txt) with:
 #   -DBENCH=<path to bench binary> -DWORKDIR=<scratch dir> -DNAME=<id>
 
@@ -95,3 +97,5 @@ if(NOT stripped STREQUAL plain)
           "${WORKDIR}/${NAME}_stripped.json (${json_metrics} without its"
           " metrics members) differ")
 endif()
+
+file(REMOVE ${json_plain} ${json_trace} ${json_metrics})

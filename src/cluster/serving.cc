@@ -34,22 +34,6 @@ struct NodeCtl
 
 } // namespace
 
-const char *
-admissionPolicyName(AdmissionPolicy p)
-{
-    switch (p) {
-      case AdmissionPolicy::None:
-        return "none";
-      case AdmissionPolicy::Drop:
-        return "drop";
-      case AdmissionPolicy::ShedByClass:
-        return "shed";
-      case AdmissionPolicy::RejectEarly:
-        return "reject";
-    }
-    panic("bad admission policy");
-}
-
 ServingFrontendResult
 runServingFrontend(const ClusterSim &sim, const ServingConfig &cfg)
 {
@@ -267,8 +251,8 @@ runServingFrontend(const ClusterSim &sim, const ServingConfig &cfg)
     });
 
     // Hand the worker one serialize job at a time, so waiting requests
-    // stay in the admission queue where shed-by-class can still reach
-    // them (the worker FIFO itself only ever holds work in progress).
+    // stay in the admission queue (the worker FIFO itself only ever
+    // holds work in progress).
     std::function<void(std::uint32_t)> feedWorker =
         [&](std::uint32_t origin) {
         NodeCtl &c = ctl[origin];
@@ -323,55 +307,9 @@ runServingFrontend(const ClusterSim &sim, const ServingConfig &cfg)
             reqCls[idx] = a.cls;
             eq.schedule(arrivalTick[idx], [&, origin, idx] {
                 NodeCtl &c = ctl[origin];
-                const AdmissionConfig &adm = cfg.admission;
-                bool admit = true;
-                switch (adm.policy) {
-                  case AdmissionPolicy::None:
-                    break;
-                  case AdmissionPolicy::Drop:
-                    if (c.occupancy >= adm.queueBound) {
-                        admit = false;
-                        ++out.dropped;
-                    }
-                    break;
-                  case AdmissionPolicy::ShedByClass:
-                    if (c.occupancy >= adm.queueBound) {
-                        // Evict the newest waiting request of a worse
-                        // class; with no worse victim the newcomer is
-                        // the lowest-value work and tail-drops.
-                        auto victim = c.pend.rend();
-                        for (auto it = c.pend.rbegin();
-                             it != c.pend.rend(); ++it) {
-                            if (reqCls[*it] > reqCls[idx]) {
-                                victim = it;
-                                break;
-                            }
-                        }
-                        if (victim == c.pend.rend()) {
-                            admit = false;
-                            ++out.dropped;
-                        } else {
-                            c.pend.erase(std::next(victim).base());
-                            --c.occupancy;
-                            ++out.shed;
-                        }
-                    }
-                    break;
-                  case AdmissionPolicy::RejectEarly: {
-                    const double est_wait =
-                        static_cast<double>(c.occupancy) *
-                        cost.serializeSeconds();
-                    const double budget = adm.rejectBudgetFactor *
-                        static_cast<double>(adm.queueBound) *
-                        cost.serializeSeconds();
-                    if (est_wait > budget) {
-                        admit = false;
-                        ++out.rejected;
-                    }
-                    break;
-                  }
-                }
-                if (!admit) {
+                if (cfg.admission.policy == AdmissionPolicy::Drop &&
+                    c.occupancy >= cfg.admission.queueBound) {
+                    ++out.dropped;
                     c.metrics.tick(eq.now());
                     return;
                 }
@@ -419,12 +357,11 @@ runServingFrontend(const ClusterSim &sim, const ServingConfig &cfg)
             "end-to-end request latency, log-bucketed", latency);
     }
 
-    panic_if(out.completed != out.admitted - out.shed,
+    panic_if(out.completed != out.admitted,
              "serving front end lost requests (%llu of %llu admitted"
-             " finished, %llu shed)",
+             " finished)",
              (unsigned long long)out.completed,
-             (unsigned long long)out.admitted,
-             (unsigned long long)out.shed);
+             (unsigned long long)out.admitted);
     for (const NodeCtl &c : ctl) {
         panic_if(c.occupancy != 0 || c.stalledCount != 0 ||
                      !c.pend.empty(),

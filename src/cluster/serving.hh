@@ -15,12 +15,10 @@
  *    client-derived class (gold / silver / bronze).
  *
  *  - An admission controller in front of each node's worker bounds the
- *    number of requests admitted but not yet on the wire. Over the
- *    bound it can tail-Drop the newcomer, ShedByClass (evict the
- *    newest waiting lower-class request in favour of a better-class
- *    arrival), or RejectEarly on an estimated-sojourn budget.
- *    Occupancy counts credit-stalled frames too, so downstream
- *    backpressure propagates into admission decisions.
+ *    number of requests admitted but not yet on the wire; over the
+ *    bound it tail-drops the newcomer. Occupancy counts credit-stalled
+ *    frames too, so downstream backpressure propagates into admission
+ *    decisions.
  *
  *  - Credit-based flow control (flow_control.hh) gates the fabric: a
  *    frame needs a (src, dst) credit to launch, and the credit returns
@@ -58,21 +56,7 @@ enum class AdmissionPolicy
     None,
     /** Tail-drop the incoming request. */
     Drop,
-    /**
-     * Evict the newest waiting request of a worse class to make room;
-     * tail-drop the newcomer when no worse victim is waiting.
-     */
-    ShedByClass,
-    /**
-     * Refuse the newcomer as soon as its estimated sojourn
-     * (occupancy x serialize service) exceeds the budget — the
-     * "fail fast, retry elsewhere" front-end idiom.
-     */
-    RejectEarly,
 };
-
-/** "none" / "drop" / "shed" / "reject". */
-const char *admissionPolicyName(AdmissionPolicy p);
 
 /** Per-node admission controller parameters. */
 struct AdmissionConfig
@@ -83,11 +67,6 @@ struct AdmissionConfig
      * (waiting + in serialize + credit-stalled).
      */
     unsigned queueBound = 16;
-    /**
-     * RejectEarly sojourn budget as a fraction of a full queue's worth
-     * of serialize service (rejects earlier than the hard bound).
-     */
-    double rejectBudgetFactor = 0.75;
 };
 
 /** One serving-front-end experiment. */
@@ -133,12 +112,8 @@ struct ServingFrontendResult
     std::uint64_t requests = 0;
     std::uint64_t admitted = 0;
     std::uint64_t completed = 0;
-    /** Tail-dropped at admission (Drop, or ShedByClass with no victim). */
+    /** Tail-dropped at admission (Drop over the queue bound). */
     std::uint64_t dropped = 0;
-    /** Victims evicted by ShedByClass after admission. */
-    std::uint64_t shed = 0;
-    /** Refused by RejectEarly. */
-    std::uint64_t rejected = 0;
     /** (requests - completed) / requests. */
     double dropRate = 0;
     double durationSeconds = 0;

@@ -12,8 +12,7 @@
  *
  * Each arrival carries a client id (drawn from the population) and a
  * request class derived from it — 0 = gold (~10%), 1 = silver (~60%),
- * 2 = bronze (~30%) — which the admission controller's shed-by-class
- * policy uses as drop priority.
+ * 2 = bronze (~30%) — which request traces record as "class".
  *
  * Determinism: each origin node's stream comes from its own seeded
  * Rng, so streams are independent of generation order and identical

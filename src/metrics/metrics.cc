@@ -176,7 +176,26 @@ MetricsRecorder::tickSeries(const std::vector<std::size_t> &ids, Tick now)
 {
     for (std::size_t id : ids) {
         Series &s = series_[id];
-        while (s.live_ && now >= s.next_) {
+        if (!s.live_ || now < s.next_) {
+            continue;
+        }
+        // Only the last maxSamples_ boundaries of one call survive the
+        // ring. The closures read state that cannot move within this
+        // call, so skipping the others only moves the counters'
+        // baseline, as the first of them would have.
+        const Tick crossed = (now - s.next_) / interval_ + 1;
+        if (crossed > maxSamples_) {
+            const Tick skipped = crossed - maxSamples_;
+            if (s.num_) {
+                s.prevNum_ = s.num_();
+            }
+            if (s.den_) {
+                s.prevDen_ = s.den_();
+            }
+            s.dropped_ += skipped;
+            s.next_ += skipped * interval_;
+        }
+        while (now >= s.next_) {
             s.sampleAt(s.next_);
             s.next_ += interval_;
         }

@@ -182,9 +182,6 @@ class MetricsRecorder
     explicit MetricsRecorder(Tick interval = kDefaultInterval,
                              std::size_t max_samples = kDefaultMaxSamples);
 
-    Tick interval() const { return interval_; }
-    std::size_t maxSamples() const { return maxSamples_; }
-
     /** Registered series in registration order. */
     const std::vector<Series> &series() const { return series_; }
 

@@ -14,6 +14,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.hh"
@@ -31,6 +32,7 @@ namespace {
 using metrics::Group;
 using metrics::MetricsRecorder;
 using metrics::ScopedMetrics;
+using metrics::Series;
 
 // ------------------------------------------------------- series kinds
 
@@ -107,6 +109,56 @@ TEST(Metrics, RingDropsOldestAndCounts)
     EXPECT_EQ(samples.front().tick, 7u); // oldest retained
     EXPECT_EQ(samples.back().tick, 10u);
     EXPECT_EQ(s.last().tick, 10u);
+}
+
+TEST(Metrics, JumpPastTheRingMatchesOneBoundaryAtATime)
+{
+    // Ticks crossing more boundaries than the ring holds must keep the
+    // samples and dropped counts of ticking each boundary on its own.
+    struct Probe
+    {
+        MetricsRecorder rec{10, 4};
+        Group g{&rec, "comp"};
+        double v = 0, sum = 0;
+        Probe()
+        {
+            g.gauge("depth", "", [this](Tick t) { return v + t; });
+            g.rate("bw", "", [this] { return 7 * sum; }, 3.0);
+            g.ratio("hits", "", [this] { return sum; },
+                    [this] { return 2 * sum; });
+        }
+    };
+    auto expect_same = [](const Series &a, const Series &b) {
+        EXPECT_EQ(a.dropped(), b.dropped()) << a.name();
+        const auto sa = a.samples(), sb = b.samples();
+        ASSERT_EQ(sa.size(), sb.size()) << a.name();
+        for (std::size_t k = 0; k < sa.size(); ++k) {
+            EXPECT_EQ(sa[k].tick, sb[k].tick) << a.name();
+            EXPECT_EQ(sa[k].value, sb[k].value) << a.name();
+        }
+    };
+    Probe jump, ref;
+    Tick ref_next = 10;
+    // Part-fill the ring, cross it by one, by 1000, then step once.
+    for (const auto &[v, to] : {std::pair<double, Tick>{1, 25},
+                                {2, 75}, {5, 10'075}, {3, 10'085}}) {
+        for (Probe *p : {&jump, &ref}) {
+            p->v = v;
+            p->sum += v;
+        }
+        jump.g.tick(to);
+        for (; ref_next <= to; ref_next += 10) {
+            ref.g.tick(ref_next);
+        }
+        for (std::size_t i = 0; i < 3; ++i) {
+            expect_same(jump.rec.series()[i], ref.rec.series()[i]);
+        }
+    }
+    for (const Series &a : jump.rec.series()) {
+        EXPECT_EQ(a.dropped(), 1004u) << a.name();
+        // Only the single last step leaves a non-zero rate or ratio.
+        EXPECT_NE(a.last().value, 0.0) << a.name();
+    }
 }
 
 TEST(Metrics, BackwardClockProducesNoSamplesUntilHighWaterMark)

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the serving front-end subsystem: load-shape evaluation and
- * generator determinism, admission-queue bound/shed/reject policies,
+ * generator determinism, the admission-queue bound and tail drop,
  * credit conservation and the no-unbounded-queue invariant under
  * deliberate incast, flash-crowd recovery, and the hps operator-side
  * zero-copy property (narrated receive+consume traffic smaller than
@@ -242,35 +242,6 @@ TEST(ServingFrontend, DropPolicyBoundsOccupancyAndDropsUnderOverload)
     EXPECT_EQ(r.requests, r.admitted + r.dropped);
     EXPECT_TRUE(r.creditsConserved);
     EXPECT_GT(r.dropRate, 0.0);
-}
-
-TEST(ServingFrontend, ShedByClassProtectsGold)
-{
-    ClusterSim sim(tinyCluster(Backend::Java));
-    ServingConfig cfg = controlledConfig(2.0);
-    cfg.admission.policy = AdmissionPolicy::ShedByClass;
-    const auto r = runServingFrontend(sim, cfg);
-    // Overloaded: work is refused, and some of it via eviction.
-    EXPECT_GT(r.shed + r.dropped, 0u);
-    EXPECT_GT(r.shed, 0u);
-    EXPECT_EQ(r.completed, r.admitted - r.shed);
-    EXPECT_LE(r.maxAdmissionOccupancy,
-              static_cast<std::uint64_t>(cfg.admission.queueBound));
-    EXPECT_TRUE(r.creditsConserved);
-}
-
-TEST(ServingFrontend, RejectEarlyRefusesBeforeTheHardBound)
-{
-    ClusterSim sim(tinyCluster(Backend::Java));
-    ServingConfig cfg = controlledConfig(2.0);
-    cfg.admission.policy = AdmissionPolicy::RejectEarly;
-    const auto r = runServingFrontend(sim, cfg);
-    EXPECT_GT(r.rejected, 0u);
-    EXPECT_EQ(r.dropped, 0u);
-    // The sojourn budget kicks in below the hard queue bound.
-    EXPECT_LE(r.maxAdmissionOccupancy,
-              static_cast<std::uint64_t>(cfg.admission.queueBound));
-    EXPECT_TRUE(r.creditsConserved);
 }
 
 TEST(ServingFrontend, CreditsConserveAndBoundIncastQueues)
