@@ -123,19 +123,6 @@ CerealDevice::deserialize(const CerealStream &stream, Addr dst_base,
     return out;
 }
 
-Tick
-CerealDevice::allIdleTick() const
-{
-    Tick t = 0;
-    for (Tick f : suFreeAt_) {
-        t = std::max(t, f);
-    }
-    for (Tick f : duFreeAt_) {
-        t = std::max(t, f);
-    }
-    return t;
-}
-
 void
 CerealDevice::setTrace(const trace::TraceEmitter &em)
 {

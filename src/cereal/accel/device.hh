@@ -77,9 +77,6 @@ class CerealDevice
     /** Accumulated DU busy time (across all DUs), ticks. */
     Tick duBusyTicks() const { return duBusy_; }
 
-    /** Tick at which every unit is idle again. */
-    Tick allIdleTick() const;
-
     /**
      * Attach a trace emitter. Each unit gets a child track ("su0",
      * "du0", ...) carrying one "serialize"/"deserialize" span per op

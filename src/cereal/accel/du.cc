@@ -1,6 +1,7 @@
 #include "cereal/accel/du.hh"
 
 #include <algorithm>
+#include <bit>
 #include <vector>
 
 #include "sim/logging.hh"
@@ -14,7 +15,8 @@ namespace {
  * 64 B chunks in flight through the MAI, issuing chunk i as soon as
  * chunk i-depth has returned (paper: "maintains a set amount of
  * internal buffer and eagerly issues a load request ... whenever this
- * buffer is empty").
+ * buffer is empty"). Offsets are asked for in non-decreasing order, so
+ * a ring of the last `depth` (rounded up to 2^n) completions suffices.
  */
 class StreamFetcher
 {
@@ -22,7 +24,8 @@ class StreamFetcher
     StreamFetcher(Mai &mai, Addr base, Addr total_bytes, unsigned depth,
                   Tick start)
         : mai_(&mai), base_(base), totalBytes_(total_bytes),
-          depth_(std::max(1u, depth)), start_(start)
+          depth_(std::max(1u, depth)), start_(start),
+          completion_(std::bit_ceil(depth_)), mask_(completion_.size() - 1)
     {
     }
 
@@ -35,11 +38,10 @@ class StreamFetcher
         }
         panic_if(offset >= totalBytes_, "stream fetch past end");
         const std::size_t chunk = static_cast<std::size_t>(offset / 64);
+        panic_if(chunk + depth_ < issued_, "stream fetch went backwards");
         ensureIssued(chunk);
-        return completion_[chunk];
+        return completion_[chunk & mask_];
     }
-
-    Addr totalBytes() const { return totalBytes_; }
 
   private:
     void
@@ -48,12 +50,13 @@ class StreamFetcher
         const std::size_t chunks = static_cast<std::size_t>(
             (totalBytes_ + 63) / 64);
         const std::size_t want = std::min(chunk + depth_, chunks);
-        while (completion_.size() < want) {
-            const std::size_t i = completion_.size();
-            Tick issue = (i >= depth_) ? completion_[i - depth_] : start_;
-            Addr bytes = std::min<Addr>(64, totalBytes_ - Addr{i} * 64);
-            completion_.push_back(
-                mai_->read(base_ + Addr{i} * 64, bytes, issue));
+        for (; issued_ < want; ++issued_) {
+            const Tick issue = issued_ >= depth_
+                                   ? completion_[(issued_ - depth_) & mask_]
+                                   : start_;
+            const Addr at = Addr{issued_} * 64;
+            completion_[issued_ & mask_] = mai_->read(
+                base_ + at, std::min<Addr>(64, totalBytes_ - at), issue);
         }
     }
 
@@ -62,87 +65,100 @@ class StreamFetcher
     Addr totalBytes_;
     std::size_t depth_;
     Tick start_;
+    /** Completion of chunk i in slot i & mask_: at least depth_ slots. */
     std::vector<Tick> completion_;
+    std::size_t mask_;
+    std::size_t issued_ = 0;
 };
 
 /** Per-output-block input requirements, derived from the stream. */
 struct BlockPlan
 {
     /** Exclusive end offsets into each input stream after this block. */
-    Addr valueBytesEnd;
-    Addr refBytesEnd;
-    Addr bitmapBytesEnd;
+    Addr valueBytesEnd = 0;
+    Addr refBytesEnd = 0;
+    Addr bitmapBytesEnd = 0;
 };
 
 /**
- * Walk the stream's layout bitmaps and reference end map to compute,
- * for every 64 B output block, how far into each input stream its
- * reconstruction reaches.
+ * Yields, for each 64 B output block in order, how far into each input
+ * stream its reconstruction reaches, by walking the stream's layout
+ * bitmaps and reference end map. A block is planned once the slots it
+ * covers have been walked; nothing is kept per block.
  */
-std::vector<BlockPlan>
-planBlocks(const CerealStream &s)
+class BlockPlanner
 {
-    const std::uint64_t total_blocks = (s.totalGraphBytes + 63) / 64;
-    std::vector<BlockPlan> plan;
-    plan.reserve(total_blocks);
+  public:
+    explicit BlockPlanner(const CerealStream &s)
+        : s_(&s), bitmaps_(s.bitmapBuckets, s.bitmapEndMap)
+    {
+    }
 
-    ObjectUnpacker bitmaps(s.bitmapBuckets, s.bitmapEndMap);
+    /** The next block's plan into @p p; false after the last block. */
+    bool
+    next(BlockPlan &p)
+    {
+        while ((emitted_ + 1) * 8 > slotGlobal_) {
+            if (slot_ < bm_.size()) {
+                // Header slots are never set in the bitmap, so a set bit
+                // always means a reference slot.
+                if (bm_[slot_]) {
+                    plan_.refBytesEnd += nextRefBytes();
+                } else if (!(slot_ == 0 && s_->headerStripped)) {
+                    plan_.valueBytesEnd += 8;
+                }
+                ++slot_;
+                ++slotGlobal_;
+            } else if (object_ < s_->objectCount) {
+                bm_ = bitmaps_.nextBits(words_);
+                ++object_;
+                slot_ = 0;
+                // Packed bitmap footprint: payload bits + marker, padded.
+                plan_.bitmapBytesEnd += (bm_.size() + 1 + 7) / 8;
+            } else if (finished_ ||
+                       emitted_ >= (s_->totalGraphBytes + 63) / 64) {
+                return false;
+            } else {
+                finished_ = true; // the final partial block
+                break;
+            }
+        }
+        p = plan_;
+        ++emitted_;
+        return true;
+    }
 
-    // Reference entry sizes come straight from the end map.
-    std::size_t ref_bucket_pos = 0;
-    auto next_ref_bytes = [&]() -> Addr {
+  private:
+    /** Reference entry size, straight from the end map. */
+    Addr
+    nextRefBytes()
+    {
         Addr n = 0;
         for (;;) {
-            panic_if(ref_bucket_pos / 8 >= s.refEndMap.size(),
+            panic_if(refBucket_ / 8 >= s_->refEndMap.size(),
                      "ref end map underflow");
-            bool ends = (s.refEndMap[ref_bucket_pos / 8] >>
-                         (ref_bucket_pos % 8)) &
-                        1;
-            ++ref_bucket_pos;
+            const bool ends =
+                (s_->refEndMap[refBucket_ / 8] >> (refBucket_ % 8)) & 1;
+            ++refBucket_;
             ++n;
             if (ends) {
                 return n;
             }
         }
-    };
-
-    Addr value_bytes = 0;
-    Addr ref_bytes = 0;
-    Addr bitmap_bytes = 0;
-    std::uint64_t slot_global = 0;
-    std::uint64_t blocks_emitted = 0;
-
-    auto close_blocks_through = [&](std::uint64_t slot_end) {
-        // Emit plans for all blocks fully covered by slots < slot_end.
-        while ((blocks_emitted + 1) * 8 <= slot_end) {
-            plan.push_back({value_bytes, ref_bytes, bitmap_bytes});
-            ++blocks_emitted;
-        }
-    };
-
-    std::vector<std::uint64_t> bitmap_words;
-    for (std::uint32_t i = 0; i < s.objectCount; ++i) {
-        const SlotBitmap bm = bitmaps.nextBits(bitmap_words);
-        // Packed bitmap footprint: payload bits + marker, padded.
-        bitmap_bytes += (bm.size() + 1 + 7) / 8;
-        // Header slots are never set in the bitmap, so a set bit always
-        // means a reference slot.
-        for (std::size_t slot = 0; slot < bm.size(); ++slot) {
-            if (bm[slot]) {
-                ref_bytes += next_ref_bytes();
-            } else if (!(slot == 0 && s.headerStripped)) {
-                value_bytes += 8;
-            }
-            ++slot_global;
-            close_blocks_through(slot_global);
-        }
     }
-    // Final partial block.
-    if (blocks_emitted < total_blocks) {
-        plan.push_back({value_bytes, ref_bytes, bitmap_bytes});
-    }
-    return plan;
-}
+
+    const CerealStream *s_;
+    ObjectUnpacker bitmaps_;
+    std::vector<std::uint64_t> words_;
+    SlotBitmap bm_;
+    std::uint32_t object_ = 0;
+    std::size_t slot_ = 0;
+    std::uint64_t slotGlobal_ = 0;
+    std::size_t refBucket_ = 0;
+    std::uint64_t emitted_ = 0;
+    bool finished_ = false;
+    BlockPlan plan_;
+};
 
 } // namespace
 
@@ -155,8 +171,9 @@ DeserializationUnit::deserialize(const CerealStream &stream,
     auto cyc = [&](Cycles c) { return clk.cyclesToTicks(c); };
 
     DuResult out;
-    const auto plan = planBlocks(stream);
-    if (plan.empty()) {
+    BlockPlanner planner(stream);
+    BlockPlan p;
+    if (!planner.next(p)) {
         out.done = start;
         return out;
     }
@@ -184,9 +201,7 @@ DeserializationUnit::deserialize(const CerealStream &stream,
     std::vector<Tick> recon_free(num_recon, start);
     Tick end = start;
 
-    for (std::size_t b = 0; b < plan.size(); ++b) {
-        const auto &p = plan[b];
-
+    do {
         // Layout manager: needs the bitmap bytes that delimit this
         // block's slots.
         Tick bitmap_avail =
@@ -213,14 +228,14 @@ DeserializationUnit::deserialize(const CerealStream &stream,
         Tick recon_done = recon_start + cyc(cfg_.brPerBlock);
         *r = recon_done;
 
-        // Output block write.
-        Addr bytes = std::min<Addr>(
-            64, stream.totalGraphBytes - Addr{b} * 64);
-        Tick wr = mai_->write(dst_base + Addr{b} * 64, bytes, recon_done);
+        // Output block write; out.blocks counts the blocks before it.
+        const Addr at = out.blocks * 64;
+        Addr bytes = std::min<Addr>(64, stream.totalGraphBytes - at);
+        Tick wr = mai_->write(dst_base + at, bytes, recon_done);
         end = std::max(end, wr);
         ++out.blocks;
         out.bytesWritten += bytes;
-    }
+    } while (planner.next(p));
 
     out.bytesRead =
         value_bytes_total + ref_bytes_total + bitmap_bytes_total;

@@ -49,7 +49,6 @@ class StreamWriter
         return lastWrite_;
     }
 
-    Tick lastWrite() const { return lastWrite_; }
     Addr totalBytes() const { return total_; }
 
   private:

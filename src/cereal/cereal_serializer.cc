@@ -44,14 +44,6 @@ CerealSerializer::registerAll(const KlassRegistry &reg)
     }
 }
 
-KlassId
-CerealSerializer::klassOfClassId(std::uint32_t class_id) const
-{
-    panic_if(class_id >= fromClassId_.size(),
-             "class ID %u not in Class ID Table", class_id);
-    return fromClassId_[class_id];
-}
-
 std::uint32_t
 CerealSerializer::classIdOf(KlassId id) const
 {

@@ -76,12 +76,6 @@ class CerealSerializer : public Serializer
     /** Structured deserialization. */
     Addr deserializeStream(const CerealStream &s, Heap &dst);
 
-    /** Number of registered classes. */
-    std::size_t registeredClasses() const { return fromClassId_.size(); }
-
-    /** The class registered under dense @p class_id. */
-    KlassId klassOfClassId(std::uint32_t class_id) const;
-
     /** Dense class ID of @p id (must be registered). */
     std::uint32_t classIdOf(KlassId id) const;
 

@@ -85,12 +85,6 @@ class BackendCostModel
         return scale(profile_.deserSeconds, stream_bytes);
     }
 
-    double
-    consumeSecondsFor(std::uint64_t stream_bytes) const
-    {
-        return scale(profile_.consumeSeconds, stream_bytes);
-    }
-
     // --- wire facts ------------------------------------------------------
 
     /** True when payloads travel through the LZ shuffle codec. */

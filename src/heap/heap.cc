@@ -99,18 +99,6 @@ Heap::store64(Addr addr, std::uint64_t v)
     std::memcpy(hostPtr(addr, 8), &v, 8);
 }
 
-std::uint8_t
-Heap::load8(Addr addr) const
-{
-    return *hostPtr(addr, 1);
-}
-
-void
-Heap::store8(Addr addr, std::uint8_t v)
-{
-    *hostPtr(addr, 1) = v;
-}
-
 void
 Heap::loadBytes(Addr addr, void *dst, Addr n) const
 {

@@ -140,8 +140,6 @@ class Heap
 
     std::uint64_t load64(Addr addr) const;
     void store64(Addr addr, std::uint64_t v);
-    std::uint8_t load8(Addr addr) const;
-    void store8(Addr addr, std::uint8_t v);
     void loadBytes(Addr addr, void *dst, Addr n) const;
     void storeBytes(Addr addr, const void *src, Addr n);
 

@@ -68,6 +68,10 @@ KlassRegistry::KlassRegistry(bool cereal_header_ext, Addr metadata_base)
       metadataTop_(metadata_base),
       slotBase_(roundDown(metadata_base, 64))
 {
+    // The smallest object is an instance with no fields: its header.
+    panic_if(Addr{headerSlots_} * 8 < kMinObjectBytes,
+             "a %u-slot header is below the %llu B minimum object",
+             headerSlots_, (unsigned long long)kMinObjectBytes);
 }
 
 KlassId

@@ -37,6 +37,9 @@ using KlassId = std::uint32_t;
 /** Sentinel for "no class". */
 constexpr KlassId kBadKlassId = ~KlassId{0};
 
+/** The smallest object, its header: object starts are this far apart. */
+constexpr Addr kMinObjectBytes = 16;
+
 /** Java field/element types. */
 enum class FieldType : std::uint8_t
 {
@@ -212,16 +215,13 @@ class KlassRegistry
     /** Get or create the canonical array class for @p elem. */
     KlassId arrayKlass(FieldType elem);
 
+    /**
+     * Descriptor of class @p id; panics on an unregistered id. Ids read
+     * from a stream never reach it unchecked: each decoder rejects a bad
+     * one first with its own decode_check(..., DecodeStatus::BadClass).
+     */
     const KlassDescriptor &klass(KlassId id) const;
     std::size_t size() const { return descs_.size(); }
-
-    /**
-     * True iff @p id names a registered class. Decoders must gate every
-     * stream-derived class id through this before calling klass():
-     * klass() panics on bad ids because its other callers pass ids the
-     * heap model itself produced.
-     */
-    bool validKlass(KlassId id) const { return id < descs_.size(); }
 
     /** Lookup by name; kBadKlassId if absent. */
     KlassId idByName(const std::string &name) const;

@@ -51,7 +51,6 @@ class ObjectView
     // --- header --------------------------------------------------------
 
     std::uint64_t markWord() const { return heap_->load64(addr_); }
-    void setMarkWord(std::uint64_t v) { heap_->store64(addr_, v); }
     std::uint32_t identityHash() const { return markword::hash(markWord()); }
 
     /** The Cereal 8 B extension word (requires header extension). */

@@ -204,7 +204,7 @@ struct EqContext
 {
     Heap *ha;
     Heap *hb;
-    /** a -> b's slot index in hb + 1, once a has been matched. */
+    /** a -> b's 8 B slot index in hb + 1, once a has been matched. */
     ObjectTable aToB;
     std::string *why;
     bool compareHash;
@@ -299,10 +299,12 @@ objectsMatch(EqContext &ctx, Addr a, Addr b,
 
 bool
 graphEquals(Heap &heap_a, Addr root_a, Heap &heap_b, Addr root_b,
-            std::string *why, bool compare_identity_hash)
+            std::string *why, bool compare_identity_hash,
+            std::uint64_t *objects)
 {
     EqContext ctx{&heap_a, &heap_b, ObjectTable(heap_a), why,
                   compare_identity_hash};
+    std::uint64_t matched = 0;
 
     std::vector<std::pair<Addr, Addr>> work{{root_a, root_b}};
     while (!work.empty()) {
@@ -316,7 +318,7 @@ graphEquals(Heap &heap_a, Addr root_a, Heap &heap_b, Addr root_b,
         }
         std::uint32_t &seen = ctx.aToB[a];
         const std::uint32_t b_entry =
-            ObjectTable::entry(ObjectTable::index(heap_b, b));
+            ObjectTable::entry(ObjectTable::slot(heap_b, b));
         if (seen != 0) {
             // Aliasing structure must be preserved: a previously visited
             // object must map to the same counterpart.
@@ -326,9 +328,13 @@ graphEquals(Heap &heap_a, Addr root_a, Heap &heap_b, Addr root_b,
             continue;
         }
         seen = b_entry;
+        ++matched;
         if (!objectsMatch(ctx, a, b, work)) {
             return false;
         }
+    }
+    if (objects) {
+        *objects = matched;
     }
     return true;
 }

@@ -131,10 +131,13 @@ class GraphWalker
  * @param compare_identity_hash when true, mark-word identity hash codes
  *            must match as well (serializers that strip headers
  *            legitimately lose them)
+ * @param objects when non-null and the graphs match, receives the number
+ *            of objects reachable from root_a
  */
 bool graphEquals(Heap &heap_a, Addr root_a, Heap &heap_b, Addr root_b,
                  std::string *why = nullptr,
-                 bool compare_identity_hash = false);
+                 bool compare_identity_hash = false,
+                 std::uint64_t *objects = nullptr);
 
 } // namespace cereal
 

@@ -72,8 +72,6 @@ class SweepRunner
         points_.push_back({std::move(point_name), std::move(fn)});
     }
 
-    std::size_t numPoints() const { return points_.size(); }
-    const std::string &benchName() const { return benchName_; }
 
     /**
      * Execute every point. @p threads <= 1 runs serially on the

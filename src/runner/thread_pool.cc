@@ -83,7 +83,6 @@ ThreadPool::trySteal(unsigned self, Task &out)
         if (!victim.tasks.empty()) {
             out = std::move(victim.tasks.front());
             victim.tasks.pop_front();
-            steals_.fetch_add(1);
             return true;
         }
     }

@@ -50,9 +50,6 @@ class ThreadPool
 
     unsigned numThreads() const { return static_cast<unsigned>(workers_.size()); }
 
-    /** Tasks executed via steals (not from the worker's own deque). */
-    std::uint64_t steals() const { return steals_.load(); }
-
     static unsigned hardwareThreads();
 
   private:
@@ -78,7 +75,6 @@ class ThreadPool
     std::condition_variable idleCv_;
 
     std::atomic<std::uint64_t> inflight_{0};
-    std::atomic<std::uint64_t> steals_{0};
     std::atomic<unsigned> nextQueue_{0};
     std::atomic<bool> stop_{false};
 };

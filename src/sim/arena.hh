@@ -8,12 +8,11 @@
  *  - BufferPool: recycles std::vector<std::uint8_t> payload buffers
  *    (the cluster fabric's frame bytes), keeping their capacity alive
  *    across acquire/release cycles.
- *  - ContiguousBuffer: a geometrically growing flat byte buffer for the
- *    modeled heap's backing store. Its blocks come zeroed from
- *    zeroedAlloc(), so claiming bytes writes nothing, and growth keeps
- *    the base pointer semantics the Heap needs.
- *  - zeroedAlloc(): the calloc (plus huge-page hint) behind
- *    ContiguousBuffer and the heap's ObjectTable.
+ *  - ContiguousBuffer: the modeled heap's backing store, a flat byte
+ *    buffer that grows in place inside one address-space reservation,
+ *    so growth copies at most once and claiming bytes writes nothing.
+ *  - zeroedAlloc(): the calloc (plus huge-page hint) behind a small
+ *    heap's first block and the heap's ObjectTable.
  *
  * Everything here is single-threaded by design, like the EventQueue:
  * one simulated machine lives on one host thread; concurrent sweep
@@ -23,6 +22,7 @@
 #ifndef CEREAL_SIM_ARENA_HH
 #define CEREAL_SIM_ARENA_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
@@ -73,11 +73,12 @@ unpoison(void *p, std::size_t n)
 
 /**
  * @p bytes of zeroed memory, or nullptr; release it with std::free
- * (or a Free deleter). A block above glibc's mmap threshold comes
- * straight from fresh zero pages, so bytes never written are never
- * faulted in. A block of 2 MiB or more is also advised MADV_HUGEPAGE
- * where the platform defines it, so a pass over all of it faults once
- * per 2 MiB instead of once per 4 KiB.
+ * (or a Free deleter). calloc skips its memset only on memory fresh
+ * from the kernel; glibc raises its mmap threshold after the first
+ * large free, so a later large block may be a recycled chunk that is
+ * cleared byte by byte. A block of 2 MiB or more is also advised
+ * MADV_HUGEPAGE where the platform defines it, so a pass over all of
+ * it faults once per 2 MiB instead of once per 4 KiB.
  */
 void *zeroedAlloc(std::size_t bytes);
 
@@ -138,42 +139,53 @@ class BufferPool
 };
 
 /**
- * Flat, geometrically growing byte buffer for the modeled heap's
- * backing store.
+ * Flat byte buffer that grows in place, for the modeled heap's backing
+ * store.
  *
  * The Heap needs one contiguous host block (simulated addresses map to
- * base + offset), bump allocation, and zeroed object memory. A
- * std::vector delivers that but zero-fills every grown element. Here
- * each block comes from zeroedAlloc(), growth copies only the claimed
- * bytes, and claiming writes nothing: no byte past size() is ever
- * written, so the unclaimed tail is still zero when it is claimed.
- * Under ASan that tail is poisoned, which both catches out-of-bounds
- * reads of not-yet-allocated heap words and keeps it unwritten.
+ * base + offset), bump allocation, and zeroed object memory. A buffer
+ * starts on a zeroedAlloc() block of its initial capacity, so the many
+ * small heaps of a run cost a calloc each. The first claim past it
+ * reserves kReserveBytes of inaccessible address space (2 MiB aligned,
+ * MADV_HUGEPAGE past its first 2 MiB) and moves the claimed bytes
+ * there once; later growth commits the next window, doubling what is
+ * committed, and never copies. No byte past size() is ever written, so
+ * claiming writes nothing and claimed bytes read zero. Under ASan the
+ * committed but unclaimed window is poisoned, which catches reads of
+ * not-yet-allocated heap words and keeps it unwritten.
  */
 class ContiguousBuffer
 {
   public:
+    /**
+     * Address space reserved per buffer: what a 32-bit ObjectTable with
+     * one entry per 16 B can index.
+     */
+    static constexpr std::size_t kReserveBytes = std::size_t{64} << 30;
+
     explicit ContiguousBuffer(std::size_t initial_capacity = 0)
     {
         if (initial_capacity) {
-            grow(initial_capacity);
+            data_ = static_cast<std::uint8_t *>(zeroedAlloc(initial_capacity));
+            if (!data_) {
+                throw std::bad_alloc();
+            }
+            capacity_ = initial_capacity;
+            poison(data_, capacity_);
         }
     }
 
     ContiguousBuffer(const ContiguousBuffer &) = delete;
     ContiguousBuffer &operator=(const ContiguousBuffer &) = delete;
 
-    ~ContiguousBuffer()
-    {
-        if (data_) {
-            unpoison(data_.get(), capacity_);
-        }
-    }
+    ~ContiguousBuffer();
 
     /**
      * Extend the claimed region to @p bytes (monotonic); the newly
-     * claimed span reads zero. Growth preserves existing contents; the
-     * base pointer may move (callers index relative to data()).
+     * claimed span reads zero. The base pointer moves at most once, on
+     * the first claim past a non-zero initial capacity. Throws
+     * std::bad_alloc past kReserveBytes or when the host refuses the
+     * reservation or a commit.
      */
     void
     claimZeroed(std::size_t bytes)
@@ -182,48 +194,37 @@ class ContiguousBuffer
             return;
         }
         if (bytes > capacity_) {
+            if (bytes > kReserveBytes) {
+                throw std::bad_alloc();
+            }
             std::size_t cap = capacity_ ? capacity_ : (std::size_t{1} << 16);
             while (cap < bytes) {
                 cap *= 2;
             }
-            grow(cap);
+            commit(std::min(cap, kReserveBytes));
         }
-        unpoison(data_.get() + size_, bytes - size_);
+        unpoison(data_ + size_, bytes - size_);
         size_ = bytes;
     }
 
-    std::uint8_t *data() { return data_.get(); }
-    const std::uint8_t *data() const { return data_.get(); }
+    std::uint8_t *data() { return data_; }
+    const std::uint8_t *data() const { return data_; }
 
     /** Bytes claimed (valid to address). */
     std::size_t size() const { return size_; }
 
-    /** Bytes owned (claimed + poisoned tail). */
+    /** Bytes committed (claimed + poisoned tail). */
     std::size_t capacity() const { return capacity_; }
 
   private:
-    void
-    grow(std::size_t cap)
-    {
-        std::unique_ptr<std::uint8_t[], Free> fresh(
-            static_cast<std::uint8_t *>(zeroedAlloc(cap)));
-        if (!fresh) {
-            throw std::bad_alloc();
-        }
-        if (size_) {
-            std::memcpy(fresh.get(), data_.get(), size_);
-        }
-        if (data_) {
-            unpoison(data_.get(), capacity_);
-        }
-        data_ = std::move(fresh);
-        capacity_ = cap;
-        poison(data_.get() + size_, capacity_ - size_);
-    }
+    /** Commit up to @p cap bytes, reserving first if not yet done. */
+    void commit(std::size_t cap);
 
-    std::unique_ptr<std::uint8_t[], Free> data_;
+    std::uint8_t *data_ = nullptr;
     std::size_t size_ = 0;
     std::size_t capacity_ = 0;
+    /** data_ is the reservation (else a zeroedAlloc() block or null). */
+    bool reserved_ = false;
 };
 
 } // namespace sim

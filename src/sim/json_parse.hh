@@ -37,8 +37,6 @@ struct Value
     std::vector<std::pair<std::string, Value>> object;
 
     bool isNull() const { return type == Type::Null; }
-    bool isBool() const { return type == Type::Bool; }
-    bool isNumber() const { return type == Type::Number; }
     bool isString() const { return type == Type::String; }
     bool isArray() const { return type == Type::Array; }
     bool isObject() const { return type == Type::Object; }

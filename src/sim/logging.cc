@@ -50,24 +50,4 @@ fatalImpl(const char *file, int line, const char *fmt, ...)
     std::exit(1);
 }
 
-void
-warnImpl(const char *fmt, ...)
-{
-    va_list ap;
-    va_start(ap, fmt);
-    std::string msg = vstrfmt(fmt, ap);
-    va_end(ap);
-    std::fprintf(stderr, "warn: %s\n", msg.c_str());
-}
-
-void
-informImpl(const char *fmt, ...)
-{
-    va_list ap;
-    va_start(ap, fmt);
-    std::string msg = vstrfmt(fmt, ap);
-    va_end(ap);
-    std::fprintf(stderr, "info: %s\n", msg.c_str());
-}
-
 } // namespace cereal

@@ -5,8 +5,6 @@
  * panic()  — an internal invariant was violated; this is a simulator bug.
  * fatal()  — the simulation cannot continue due to user error (bad
  *            configuration, invalid arguments); exits cleanly.
- * warn()   — something is suspicious but the run may proceed.
- * inform() — plain status output.
  */
 
 #ifndef CEREAL_SIM_LOGGING_HH
@@ -25,12 +23,6 @@ namespace cereal {
 [[noreturn]] void fatalImpl(const char *file, int line,
                             const char *fmt, ...);
 
-/** Print a warning to stderr. */
-void warnImpl(const char *fmt, ...);
-
-/** Print an informational message to stderr. */
-void informImpl(const char *fmt, ...);
-
 /** Format a printf-style message into a std::string. */
 std::string vstrfmt(const char *fmt, va_list ap);
 
@@ -41,8 +33,6 @@ std::string strfmt(const char *fmt, ...);
 
 #define panic(...) ::cereal::panicImpl(__FILE__, __LINE__, __VA_ARGS__)
 #define fatal(...) ::cereal::fatalImpl(__FILE__, __LINE__, __VA_ARGS__)
-#define warn(...) ::cereal::warnImpl(__VA_ARGS__)
-#define inform(...) ::cereal::informImpl(__VA_ARGS__)
 
 /** panic() unless @p cond holds. */
 #define panic_if(cond, ...)                                                 \

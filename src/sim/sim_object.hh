@@ -16,8 +16,7 @@ namespace cereal {
 /**
  * A named simulation component bound to an EventQueue.
  *
- * Subclasses register their statistics into stats() at construction and
- * may schedule events on eventq().
+ * Subclasses register their statistics into stats() at construction.
  */
 class SimObject
 {
@@ -33,8 +32,6 @@ class SimObject
     SimObject &operator=(const SimObject &) = delete;
 
     const std::string &name() const { return name_; }
-    EventQueue &eventq() { return *eventq_; }
-    const EventQueue &eventq() const { return *eventq_; }
     Tick curTick() const { return eventq_->now(); }
 
     stats::StatGroup &stats() { return stats_; }

@@ -16,7 +16,6 @@ measureSoftware(Serializer &ser, Heap &src, Addr root,
 {
     SdMeasurement out;
     out.serializer = ser.name();
-    out.objects = GraphWalker(src).stats(root).objectCount;
 
     // --- serialize ------------------------------------------------------
     std::vector<std::uint8_t> stream;
@@ -55,9 +54,12 @@ measureSoftware(Serializer &ser, Heap &src, Addr root,
         out.deserEnergyJ = AreaPowerModel::softwareEnergyJ(st.seconds);
         if (verify) {
             std::string why;
-            panic_if(!graphEquals(src, root, dst, nr, &why),
+            panic_if(!graphEquals(src, root, dst, nr, &why, false,
+                                  &out.objects),
                      "%s round trip broken: %s", ser.name().c_str(),
                      why.c_str());
+        } else {
+            out.objects = GraphWalker(src).stats(root).objectCount;
         }
     }
     return out;
@@ -69,7 +71,6 @@ measureCereal(Heap &src, Addr root, const AccelConfig &accel_cfg,
 {
     SdMeasurement out;
     out.serializer = "cereal";
-    out.objects = GraphWalker(src).stats(root).objectCount;
 
     AreaPowerModel power(accel_cfg);
 
@@ -80,15 +81,16 @@ measureCereal(Heap &src, Addr root, const AccelConfig &accel_cfg,
         CerealContext ctx(dram, accel_cfg, opts);
         dram.setTrace(trace::current().sub("cereal.ser_dram"));
         ctx.registerAll(src.registry());
-        ObjectOutputStream oos;
-        auto w = ctx.writeObject(oos, src, root);
-        stream = std::move(w.stream);
-        out.serSeconds = w.timing.latencySeconds;
-        out.serBandwidth = dram.utilization(w.timing.start, w.timing.done);
+        // writeObject's steps without its encoded copy of the stream.
+        stream = ctx.serializer().serializeToStream(src, root);
+        const auto t = ctx.device().serialize(src, root, 0);
+        out.serSeconds = t.latencySeconds;
+        out.serBandwidth = dram.utilization(t.start, t.done);
         out.serEnergyJ = power.serializeEnergyJ(
             ticksToSeconds(ctx.device().suBusyTicks()));
     }
     out.streamBytes = stream.serializedBytes();
+    out.objects = stream.objectCount;
 
     {
         EventQueue eq;

@@ -64,10 +64,6 @@ class JsbsWorkload
     Addr buildBatch(Heap &heap, std::uint64_t n,
                     std::uint64_t seed = 1) const;
 
-    KlassId mediaContent() const { return mediaContent_; }
-    KlassId media() const { return media_; }
-    KlassId image() const { return image_; }
-
   private:
     Addr makeString(Heap &heap, const std::string &s) const;
 

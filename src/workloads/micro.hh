@@ -84,9 +84,6 @@ class MicroWorkloads
     Addr buildGraph(Heap &heap, std::uint64_t nodes,
                     std::uint64_t edges_per_node, Rng &rng) const;
 
-    KlassId treeNode2() const { return treeNode2_; }
-    KlassId treeNode8() const { return treeNode8_; }
-    KlassId listNode() const { return listNode_; }
     KlassId graphNode() const { return graphNode_; }
 
   private:

@@ -8,8 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include "heap/walker.hh"
 #include "serde/java_serde.hh"
 #include "serde/kryo_serde.hh"
+#include "serde/registry.hh"
 #include "serde/skyway_serde.hh"
 #include "workloads/harness.hh"
 #include "workloads/micro.hh"
@@ -108,6 +110,39 @@ TEST_F(HarnessTest, SkywayMeasurable)
     JavaSerializer java;
     auto mj = measureSoftware(java, src, root);
     EXPECT_GT(m.streamBytes, mj.streamBytes / 2);
+}
+
+TEST(HarnessObjects, CountMatchesTheWalkerOnEveryShape)
+{
+    // The harness takes the count from the round-trip check (software)
+    // or the stream (Cereal) rather than from a walk of its own, and
+    // from a walk only when nothing is verified.
+    for (MicroBench mb : allMicroBenches()) {
+        KlassRegistry reg;
+        MicroWorkloads micro(reg);
+        Heap src(reg);
+        const Addr root = micro.build(src, mb, 4096, 42);
+        const std::uint64_t want =
+            GraphWalker(src).stats(root).objectCount;
+        ASSERT_GT(want, 1u) << microBenchName(mb);
+        for (const std::string &name : serde::availableBackends()) {
+            auto ser = serde::makeSerializer(name, &reg);
+            EXPECT_EQ(measureSoftware(*ser, src, root).objects, want)
+                << name << " on " << microBenchName(mb);
+            EXPECT_EQ(measureSoftware(*ser, src, root, CoreConfig(),
+                                      /*verify=*/false)
+                          .objects,
+                      want)
+                << name << " unverified on " << microBenchName(mb);
+        }
+        EXPECT_EQ(measureCereal(src, root).objects, want)
+            << microBenchName(mb);
+        EXPECT_EQ(measureCereal(src, root, AccelConfig(), CerealOptions(),
+                                /*verify=*/false)
+                      .objects,
+                  want)
+            << microBenchName(mb);
+    }
 }
 
 TEST_F(HarnessTest, GeomeanBasics)

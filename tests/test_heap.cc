@@ -215,15 +215,15 @@ TEST(ObjectTableTest, ZeroInitialisedAtNonDefaultBase)
     ObjectTable table(heap);
     for (Addr o : objs) {
         EXPECT_EQ(table[o], 0u);
-        EXPECT_EQ(table.index(o), (o - heap.base()) / 8);
+        EXPECT_EQ(table.index(o), (o - heap.base()) / 16);
     }
     EXPECT_EQ(table.index(heap.base()), 0u);
     table[objs[7]] = ObjectTable::entry(41);
     EXPECT_EQ(table[objs[7]], 42u);
     EXPECT_EQ(table[objs[6]], 0u);
     EXPECT_EQ(table[objs[8]], 0u);
-    EXPECT_EQ(ObjectTable::index(heap, objs.back()),
-              table.index(objs.back()));
+    EXPECT_EQ(ObjectTable::slot(heap, objs.back()),
+              (objs.back() - heap.base()) / 8);
 
     // A table of 2 MiB or more takes the huge-page allocation path.
     Addr big = heap.allocateArray(FieldType::Long, Addr{1} << 20);
@@ -249,7 +249,7 @@ TEST(ObjectTableTest, AddressOutsideTheHeapPanics)
     // The arena is captured at construction: later objects are outside.
     Addr b = heap.allocateInstance(point);
     EXPECT_DEATH(table[b], "outside the heap");
-    EXPECT_DEATH(ObjectTable::index(heap, heap.top()), "outside the heap");
+    EXPECT_DEATH(ObjectTable::slot(heap, heap.top()), "outside the heap");
     EXPECT_DEATH(ObjectTable::entry(0xffffffffULL), "exceeds 32 bits");
 }
 

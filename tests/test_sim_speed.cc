@@ -3,12 +3,14 @@
  * The sim-speed tier: tests for the simulator fast path.
  *
  *  - BufferPool / ContiguousBuffer semantics (capacity recycling,
- *    zeroing, growth).
+ *    zeroing, growth in place, the reservation's limit) and the
+ *    ObjectTable's one entry per 16 B.
  *  - A global-operator-new counting proof that the hot event loop
  *    allocates zero bytes per event (same technique as test_trace's
  *    null-sink guarantee), that Cereal serialization, functional
  *    and accelerator model, allocates nothing per object, and that
- *    deserialization keeps no side table per reference.
+ *    deserialization keeps no side table per reference or, in the
+ *    DU, per output block.
  *  - Dram::accessRange batched fast path vs the per-burst access()
  *    loop: identical completion ticks, counters, latency accounting,
  *    and bank/bus state.
@@ -32,6 +34,7 @@
 #include "cereal/cereal_serializer.hh"
 #include "cluster/cluster.hh"
 #include "cluster/serving.hh"
+#include "heap/object_table.hh"
 #include "heap/walker.hh"
 #include "mem/dram.hh"
 #include "serde/java_serde.hh"
@@ -154,6 +157,69 @@ TEST(ContiguousBuffer, ZeroesClaimsAndPreservesAcrossGrowth)
     const std::size_t size = buf.size();
     buf.claimZeroed(100);
     EXPECT_EQ(buf.size(), size);
+}
+
+TEST(ContiguousBuffer, GrowsInPlaceAndThrowsPastItsReservation)
+{
+    sim::ContiguousBuffer buf;
+    buf.claimZeroed(100);
+    std::uint8_t *const base = buf.data();
+    std::size_t claimed = 0;
+    // From one small page through several huge-page windows.
+    for (std::size_t bytes = 100; bytes < (std::size_t{16} << 20);
+         bytes *= 3) {
+        buf.claimZeroed(bytes);
+        ASSERT_EQ(buf.data(), base) << "moved at " << bytes << " B";
+        ASSERT_TRUE(std::all_of(buf.data() + claimed, buf.data() + bytes,
+                                [](std::uint8_t b) { return b == 0; }))
+            << "claim to " << bytes << " B";
+        std::memset(buf.data() + claimed, 0xA5, bytes - claimed);
+        claimed = bytes;
+    }
+    EXPECT_TRUE(std::all_of(buf.data(), buf.data() + claimed,
+                            [](std::uint8_t b) { return b == 0xA5; }));
+
+    // Past the reservation the claim throws before committing anything,
+    // so no page is touched, and the buffer is as it was.
+    const std::size_t cap = buf.capacity();
+    EXPECT_THROW(
+        buf.claimZeroed(sim::ContiguousBuffer::kReserveBytes + 1),
+        std::bad_alloc);
+    EXPECT_EQ(buf.data(), base);
+    EXPECT_EQ(buf.size(), claimed);
+    EXPECT_EQ(buf.capacity(), cap);
+    sim::ContiguousBuffer fresh;
+    EXPECT_THROW(
+        fresh.claimZeroed(sim::ContiguousBuffer::kReserveBytes + 1),
+        std::bad_alloc);
+    EXPECT_EQ(fresh.data(), nullptr);
+}
+
+// --------------------------------------------- object table footprint
+
+TEST(ObjectTableFootprint, SmallestAdjacentObjectsGetDistinctEntries)
+{
+    // The smallest object is its header alone: 16 B, or 24 B with the
+    // Cereal extension word. Packed back to back, every one still has
+    // its own entry in a table of one entry per 16 B.
+    for (bool ext : {false, true}) {
+        KlassRegistry reg(ext);
+        const KlassId empty = reg.add("Empty", {});
+        Heap heap(reg);
+        std::vector<Addr> objs;
+        for (int i = 0; i < 1000; ++i) {
+            objs.push_back(heap.allocateInstance(empty));
+        }
+        ASSERT_EQ(objs[1] - objs[0], ext ? 24u : 16u);
+        ObjectTable table(heap);
+        EXPECT_EQ(table.size(), heap.usedBytes() / 16 + 1);
+        for (std::size_t i = 0; i < objs.size(); ++i) {
+            table[objs[i]] = ObjectTable::entry(i);
+        }
+        for (std::size_t i = 0; i < objs.size(); ++i) {
+            ASSERT_EQ(table[objs[i]], i + 1) << "ext " << ext << " obj " << i;
+        }
+    }
 }
 
 // ------------------------------------------- zero-alloc event loop
@@ -283,6 +349,43 @@ TEST(DecodeHotPath, NoSideTablePerReference)
     check("cereal", [&](Heap &dst) {
         return cereal.deserializeStream(s, dst);
     });
+}
+
+/** Bytes one DU deserialization requests, and its output blocks. */
+std::pair<std::uint64_t, std::uint64_t>
+duAllocBytes(std::uint64_t scale)
+{
+    KlassRegistry reg;
+    workloads::MicroWorkloads micro(reg);
+    Heap src(reg);
+    const Addr root =
+        micro.build(src, workloads::MicroBench::TreeWide, scale, 42);
+    CerealSerializer ser;
+    ser.registerAll(reg);
+    const CerealStream s = ser.serializeToStream(src, root);
+    EventQueue eq;
+    Dram dram("dram", eq);
+    CerealDevice dev(dram);
+    const std::uint64_t before = g_allocBytes.load();
+    dev.deserialize(s, 0x9'0000'0000ULL, 0);
+    return {g_allocBytes.load() - before, (s.totalGraphBytes + 63) / 64};
+}
+
+TEST(DecodeHotPath, DuKeepsNoPlanPerOutputBlock)
+{
+    // The DU's timing walks TreeWide one 64 B output block at a time. A
+    // plan stored for every block requests 24 B per block, more as its
+    // vector grows; planned on demand, what is left is per call (the
+    // bitmap word buffer, the prefetchers' rings of in-flight chunks,
+    // the MAI's bounded tables), so 8x the blocks request no more.
+    const auto [small_bytes, small_blocks] = duAllocBytes(4096);
+    const auto [large_bytes, large_blocks] = duAllocBytes(512);
+    ASSERT_GT(large_blocks, 7 * small_blocks);
+    EXPECT_LE(large_bytes, small_bytes + 1024)
+        << small_bytes << " -> " << large_bytes << " B for "
+        << small_blocks << " -> " << large_blocks << " output blocks";
+    EXPECT_LT(large_bytes, large_blocks)
+        << large_bytes << " B for " << large_blocks << " output blocks";
 }
 
 // --------------------------------------------- DRAM batched ticking
