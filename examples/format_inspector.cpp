@@ -12,6 +12,7 @@
  */
 
 #include <cstdio>
+#include <span>
 
 #include "cereal/cereal_serializer.hh"
 #include "heap/object.hh"
@@ -21,7 +22,7 @@ using namespace cereal;
 namespace {
 
 void
-hexdump(const char *title, const std::vector<std::uint8_t> &bytes)
+hexdump(const char *title, std::span<const std::uint8_t> bytes)
 {
     std::printf("%s (%zu bytes):", title, bytes.size());
     for (std::size_t i = 0; i < bytes.size(); ++i) {
@@ -34,7 +35,7 @@ hexdump(const char *title, const std::vector<std::uint8_t> &bytes)
 }
 
 void
-bindump(const char *title, const std::vector<std::uint8_t> &bytes)
+bindump(const char *title, std::span<const std::uint8_t> bytes)
 {
     std::printf("%s:", title);
     for (std::uint8_t b : bytes) {

@@ -133,18 +133,16 @@ class BlockPlanner
     Addr
     nextRefBytes()
     {
-        Addr n = 0;
-        for (;;) {
-            panic_if(refBucket_ / 8 >= s_->refEndMap.size(),
-                     "ref end map underflow");
-            const bool ends =
-                (s_->refEndMap[refBucket_ / 8] >> (refBucket_ % 8)) & 1;
-            ++refBucket_;
-            ++n;
-            if (ends) {
-                return n;
-            }
-        }
+        const auto &map = s_->refEndMap;
+        const std::size_t from = refBucket_;
+        panic_if(from / 8 >= map.size(), "ref end map underflow");
+        // One-bucket entries (null references) end where they start.
+        refBucket_ = (map[from / 8] >> (from % 8)) & 1
+                         ? from
+                         : nextEntryEnd(map.data(), map.size(), from);
+        panic_if(refBucket_ / 8 >= map.size(), "ref end map underflow");
+        ++refBucket_;
+        return refBucket_ - from;
     }
 
     const CerealStream *s_;

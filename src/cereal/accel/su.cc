@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 #include <functional>
 #include <queue>
 #include <vector>
@@ -405,13 +406,16 @@ class SuSim
         lastEvent_ = std::max(lastEvent_, now);
         const SlotBitmap bitmap = heap_->instanceBitmap(obj);
         const auto slots = static_cast<unsigned>(bitmap.size());
+        // The object's words through one checked host view.
+        const std::uint8_t *words = heap_->view(obj, Addr{slots} * 8);
         unsigned ref_slots = 0;
         for (unsigned s = headerSlots_; s < slots; ++s) {
             if (!bitmap[s]) {
                 continue;
             }
             ++ref_slots;
-            Addr target = heap_->load64(obj + Addr{s} * 8);
+            Addr target;
+            std::memcpy(&target, words + Addr{s} * 8, 8);
             if (target == 0) {
                 // Null: bypasses the HM; the RAW packs the token.
                 ++out_.refs;

@@ -1,11 +1,12 @@
 #include "cereal/cereal_serializer.hh"
 
 #include <atomic>
+#include <cstring>
 
 #include "heap/object.hh"
 #include "heap/walker.hh"
 #include "serde/decode_error.hh"
-#include "sim/flat.hh"
+#include "sim/arena.hh"
 #include "sim/logging.hh"
 
 namespace cereal {
@@ -70,7 +71,11 @@ CerealSerializer::serializeToStream(Heap &src, Addr root)
     ObjectPacker ref_packer;
     ObjectPacker bitmap_packer;
 
-    sim::RingQueue<Addr> queue;
+    // Objects in discovery order; the ones from `next` on are still to
+    // be written. A long list borrows a kept Table block, which sits
+    // idle during the pack (sim/arena.hh).
+    sim::GrowArray<Addr, sim::kept::Use::Table> order;
+    std::size_t next = 0;
     std::uint64_t assigned_bytes = 0;
 
     // Header-manager visit: returns the object's relative address,
@@ -85,54 +90,51 @@ CerealSerializer::serializeToStream(Heap &src, Addr root)
         Addr rel = assigned_bytes;
         assigned_bytes += src.objectBytes(obj);
         v.setExtWord(extword::make(counter, unit, rel / 8));
-        queue.push_back(obj);
+        order.push_back(obj);
         return rel;
     };
 
     visit(root);
     const unsigned header_slots = src.registry().headerSlots();
-    while (!queue.empty()) {
-        Addr obj = queue.front();
-        queue.pop_front();
-        ObjectView v(src, obj);
+    while (next < order.size()) {
+        const Addr obj = order[next++];
 
         const SlotBitmap bitmap = src.instanceBitmap(obj);
+        const std::size_t slots = bitmap.size();
         bitmap_packer.packBits(bitmap);
-        out.bitmapBits += bitmap.size();
+        out.bitmapBits += slots;
         ++out.objectCount;
 
-        for (unsigned s = 0; s < bitmap.size(); ++s) {
-            const Addr slot_addr = obj + Addr{s} * 8;
-            if (s >= header_slots && bitmap[s]) {
-                Addr target = src.load64(slot_addr);
-                std::uint64_t token =
-                    target ? encodeRelRef(visit(target)) : kNullRefToken;
-                ref_packer.packValue(token);
-                ++out.refEntries;
+        // The object's words through one checked host view; visit()
+        // below writes other objects' extension words, never
+        // allocates.
+        const std::uint8_t *words = src.view(obj, Addr{slots} * 8);
+        auto word = [&](std::size_t s) {
+            std::uint64_t w;
+            std::memcpy(&w, words + 8 * s, 8);
+            return w;
+        };
+        // Header: the mark word (optionally stripped, Figure 16), the
+        // klass pointer as a class ID via the Klass Pointer Table, and
+        // the extension slot cleared, so live visited-tracking state
+        // does not leak into the stream.
+        if (!opts_.headerStrip) {
+            out.valueArray.push_back(word(0));
+        }
+        out.valueArray.push_back(classIdOf(src.klassOf(obj)));
+        out.valueArray.push_back(0);
+        for (std::size_t s = header_slots; s < slots; ++s) {
+            const std::uint64_t w = word(s);
+            if (!bitmap[s]) {
+                out.valueArray.push_back(w);
                 continue;
             }
-            if (s == 0) {
-                // Mark word: optionally stripped (Figure 16).
-                if (!opts_.headerStrip) {
-                    out.valueArray.push_back(v.markWord());
-                }
-                continue;
-            }
-            if (s == 1) {
-                // Klass pointer -> class ID via the Klass Pointer Table.
-                out.valueArray.push_back(classIdOf(v.klassId()));
-                continue;
-            }
-            if (s == 2) {
-                // Extension slot: live visited-tracking state must not
-                // leak into the stream; the image gets a cleared slot.
-                out.valueArray.push_back(0);
-                continue;
-            }
-            out.valueArray.push_back(src.load64(slot_addr));
+            ref_packer.packValue(w ? encodeRelRef(visit(w)) : kNullRefToken);
+            ++out.refEntries;
         }
     }
 
+    out.valueArray.shrinkToFit();
     ref_packer.moveTo(out.refBuckets, out.refEndMap);
     bitmap_packer.moveTo(out.bitmapBuckets, out.bitmapEndMap);
     fatal_if(assigned_bytes > 0xffffffffULL,
@@ -185,18 +187,24 @@ CerealSerializer::deserializeStream(const CerealStream &s, Heap &dst)
     // index `first` on.
     const std::size_t first = dst.objectCount();
     // Bit k set iff an object starts at graph offset 8k.
-    std::vector<std::uint64_t> starts((s.totalGraphBytes / 8 + 63) / 64);
+    const sim::ZeroedBlock starts_block((s.totalGraphBytes / 8 + 63) / 64 *
+                                        sizeof(std::uint64_t));
+    auto *starts = static_cast<std::uint64_t *>(starts_block.get());
     std::uint64_t refs_used = 0;
     std::vector<std::uint64_t> bitmap_words;
+    // One list entry per object; every object takes at least one bitmap
+    // bucket, which bounds the reservation by the input.
+    dst.reserveObjects(std::min<std::size_t>(s.objectCount,
+                                             s.bitmapBuckets.size()));
 
     Addr off = 0;
     for (std::uint32_t i = 0; i < s.objectCount; ++i) {
         const SlotBitmap bitmap = bitmaps.nextBits(bitmap_words);
-        decode_check(bitmap.size() >= header_slots,
-                     DecodeStatus::Malformed, off,
+        const std::size_t slots = bitmap.size();
+        decode_check(slots >= header_slots, DecodeStatus::Malformed, off,
                      "object bitmap smaller than the %u header slots",
                      header_slots);
-        decode_check(Addr{bitmap.size()} * 8 <= s.totalGraphBytes - off,
+        decode_check(Addr{slots} * 8 <= s.totalGraphBytes - off,
                      DecodeStatus::Truncated, off,
                      "object at +%llu overruns declared graph size",
                      (unsigned long long)off);
@@ -205,79 +213,75 @@ CerealSerializer::deserializeStream(const CerealStream &s, Heap &dst)
                          "reference bit set on header slot %u", h);
         }
 
-        const Addr obj = base + off;
-        bool is_array = false;
-        FieldType elem = FieldType::Reference;
-        for (unsigned slot = 0; slot < bitmap.size(); ++slot) {
-            const Addr slot_addr = obj + Addr{slot} * 8;
+        // The object's words through one checked host view, written
+        // slot by slot in stream order.
+        std::uint8_t *words = dst.span(base + off, Addr{slots} * 8);
+        auto put = [&](std::size_t slot, std::uint64_t w) {
+            std::memcpy(words + 8 * slot, &w, 8);
+        };
+
+        // Slot 0, the mark word: from the stream, or regenerated when
+        // the sender stripped headers.
+        put(0, s.headerStripped
+                   ? markword::make(static_cast<std::uint32_t>(
+                         (base + off) * 0x9e3779b1ULL >> 8))
+                   : next_value(off));
+
+        // Slot 1, class ID -> klass pointer via the Class ID Table.
+        // Validated as the full 64-bit stream value: a truncating cast
+        // would alias id 2^32 to id 0.
+        const Addr class_at = off + 8;
+        const std::uint64_t class_id = next_value(class_at);
+        decode_check(class_id < fromClassId_.size(), DecodeStatus::BadClass,
+                     class_at,
+                     "class ID %llu not in Class ID Table (%zu registered)",
+                     (unsigned long long)class_id, fromClassId_.size());
+        const KlassId id = fromClassId_[static_cast<std::uint32_t>(class_id)];
+        const auto &d = reg.klass(id);
+        // The stream bitmap dictated how this object's slots are
+        // interpreted; it must agree with the class layout or a
+        // re-serialization would read past the object.
+        const bool is_array = d.isArray();
+        const FieldType elem = is_array ? d.elemType() : FieldType::Reference;
+        if (is_array) {
+            decode_check(slots > reg.arrayLengthSlot(),
+                         DecodeStatus::Malformed, class_at,
+                         "array bitmap missing length slot");
+            const bool ref_elems = elem == FieldType::Reference;
+            for (unsigned e = header_slots; e < slots; ++e) {
+                const bool expect = ref_elems && e >= reg.arrayDataSlot();
+                decode_check(bitmap[e] == expect, DecodeStatus::Malformed,
+                             class_at,
+                             "bitmap slot %u disagrees with '%s' element "
+                             "layout",
+                             e, d.name().c_str());
+            }
+        } else {
+            decode_check(bitmap == reg.layoutBitmap(id),
+                         DecodeStatus::Malformed, class_at,
+                         "bitmap does not match layout of class '%s'",
+                         d.name().c_str());
+        }
+        put(1, reg.metadataAddr(id));
+
+        // Slot 2, the extension slot: whatever the sender had in flight
+        // is stale visited-tracking state here; a cleared slot keeps
+        // later serializations from skipping this object.
+        next_value(off + 16);
+        put(2, 0);
+
+        const std::uint64_t *ref_bits = bitmap_words.data();
+        for (std::size_t slot = header_slots; slot < slots; ++slot) {
             const Addr at = off + Addr{slot} * 8;
-            std::uint64_t word;
-            if (slot >= header_slots && bitmap[slot]) {
-                word = refs.nextValue(); // resolved below
+            if ((ref_bits[slot / 64] >> (slot % 64)) & 1) {
+                put(slot, refs.nextValue()); // resolved below
                 ++refs_used;
-            } else if (slot == 0) {
-                // Mark word: from the stream, or regenerated when the
-                // sender stripped headers.
-                word = s.headerStripped
-                           ? markword::make(static_cast<std::uint32_t>(
-                                 (base + off) * 0x9e3779b1ULL >> 8))
-                           : next_value(at);
-            } else if (slot == 1) {
-                // Class ID -> klass pointer via the Class ID Table.
-                // Validated as the full 64-bit stream value: a
-                // truncating cast would alias id 2^32 to id 0.
-                std::uint64_t class_id = next_value(at);
-                decode_check(class_id < fromClassId_.size(),
-                             DecodeStatus::BadClass, at,
-                             "class ID %llu not in Class ID Table "
-                             "(%zu registered)",
-                             (unsigned long long)class_id,
-                             fromClassId_.size());
-                KlassId id =
-                    fromClassId_[static_cast<std::uint32_t>(class_id)];
-                const auto &d = reg.klass(id);
-                // The stream bitmap dictated how this object's slots
-                // are interpreted; it must agree with the class layout
-                // or a re-serialization would read past the object.
-                if (d.isArray()) {
-                    is_array = true;
-                    elem = d.elemType();
-                    decode_check(bitmap.size() > reg.arrayLengthSlot(),
-                                 DecodeStatus::Malformed, at,
-                                 "array bitmap missing length slot");
-                    const bool ref_elems =
-                        elem == FieldType::Reference;
-                    for (unsigned e = header_slots; e < bitmap.size();
-                         ++e) {
-                        const bool expect =
-                            ref_elems && e >= reg.arrayDataSlot();
-                        decode_check(bitmap[e] == expect,
-                                     DecodeStatus::Malformed, at,
-                                     "bitmap slot %u disagrees with "
-                                     "'%s' element layout",
-                                     e, d.name().c_str());
-                    }
-                } else {
-                    decode_check(bitmap == reg.layoutBitmap(id),
-                                 DecodeStatus::Malformed, at,
-                                 "bitmap does not match layout of "
-                                 "class '%s'",
-                                 d.name().c_str());
-                }
-                word = reg.metadataAddr(id);
-            } else if (slot == 2) {
-                // Extension slot: whatever the sender had in flight is
-                // stale visited-tracking state here; a cleared slot
-                // keeps later serializations from skipping this object.
-                next_value(at);
-                word = 0;
             } else if (is_array && slot == reg.arrayLengthSlot()) {
                 // Element count must account for exactly the payload
                 // slots the bitmap declared.
-                std::uint64_t len = next_value(at);
+                const std::uint64_t len = next_value(at);
                 const unsigned esz = fieldTypeBytes(elem);
-                const std::uint64_t payload =
-                    bitmap.size() - reg.arrayDataSlot();
+                const std::uint64_t payload = slots - reg.arrayDataSlot();
                 decode_check(len <= payload * 8 / esz,
                              DecodeStatus::BadLength, at,
                              "array length %llu exceeds bitmap size",
@@ -288,15 +292,14 @@ CerealSerializer::deserializeStream(const CerealStream &s, Heap &dst)
                              "size (%llu payload slots)",
                              (unsigned long long)len,
                              (unsigned long long)payload);
-                word = len;
+                put(slot, len);
             } else {
-                word = next_value(at);
+                put(slot, next_value(at));
             }
-            dst.store64(slot_addr, word);
         }
-        dst.noteObject(obj);
+        dst.noteObject(base + off);
         starts[off / 512] |= std::uint64_t{1} << (off / 8 % 64);
-        off += Addr{bitmap.size()} * 8;
+        off += Addr{slots} * 8;
     }
     decode_check(off == s.totalGraphBytes, DecodeStatus::Malformed, off,
                  "reconstructed %llu bytes, stream declared %u",
@@ -314,25 +317,29 @@ CerealSerializer::deserializeStream(const CerealStream &s, Heap &dst)
                  (unsigned long long)s.refEntries);
 
     // Every object's layout now agrees with its stream bitmap, so its
-    // class layout names exactly the slots that hold tokens.
+    // class layout names exactly the slots that hold tokens. The graph
+    // is one host span: nothing is allocated from here on.
+    std::uint8_t *image = dst.span(base, s.totalGraphBytes);
     forEachRefSlot(dst, first, [&](Addr slot_addr) {
-        const std::uint64_t token = dst.load64(slot_addr);
+        const Addr at = slot_addr - base;
+        std::uint64_t token;
+        std::memcpy(&token, image + at, 8);
         if (token == kNullRefToken) {
             return;
         }
-        const Addr at = slot_addr - base;
         // token - 1 is a slot index; bound it before decodeRelRef's
         // * 8 can wrap.
         decode_check(token - 1 < Addr{s.totalGraphBytes} / 8,
                      DecodeStatus::BadHandle, at,
                      "reference token %llu outside graph",
                      (unsigned long long)token);
-        Addr rel = decodeRelRef(token);
+        const Addr rel = decodeRelRef(token);
         decode_check((starts[rel / 512] >> (rel / 8 % 64)) & 1,
                      DecodeStatus::BadHandle, at,
                      "reference target +%llu is not an object start",
                      (unsigned long long)rel);
-        dst.store64(slot_addr, base + rel);
+        const Addr target = base + rel;
+        std::memcpy(image + at, &target, 8);
     });
     return base;
 }

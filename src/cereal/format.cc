@@ -1,6 +1,6 @@
 #include "cereal/format.hh"
 
-#include <array>
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -9,31 +9,57 @@
 
 namespace cereal {
 
+static_assert(std::endian::native == std::endian::little,
+              "packed buckets are moved through little-endian words");
+
 namespace {
 
-/** Byte bit-reversal: converts between MSB-first bucket order and the
- *  LSB-first order of SlotBitmap words. */
-constexpr std::array<std::uint8_t, 256> kReversed = [] {
-    std::array<std::uint8_t, 256> t{};
-    for (unsigned b = 0; b < 256; ++b) {
-        unsigned r = 0;
-        for (unsigned i = 0; i < 8; ++i) {
-            r |= ((b >> i) & 1u) << (7 - i);
+/** The bits of @p x reversed within each byte: converts between the
+ *  MSB-first order of buckets and the LSB-first order of SlotBitmap
+ *  words, eight buckets at a time. */
+constexpr std::uint64_t
+reverseBitsInBytes(std::uint64_t x)
+{
+    x = ((x >> 1) & 0x5555555555555555ULL) |
+        ((x & 0x5555555555555555ULL) << 1);
+    x = ((x >> 2) & 0x3333333333333333ULL) |
+        ((x & 0x3333333333333333ULL) << 2);
+    return ((x >> 4) & 0x0f0f0f0f0f0f0f0fULL) |
+           ((x & 0x0f0f0f0f0f0f0f0fULL) << 4);
+}
+
+/** Bytes [at, at + 8) of @p p as a little-endian word; bytes at or
+ *  past @p end read zero. */
+std::uint64_t
+loadWord(const std::uint8_t *p, std::size_t at, std::size_t end)
+{
+    std::uint64_t v = 0;
+    if (at + 8 <= end) {
+        std::memcpy(&v, p + at, 8);
+    } else {
+        for (std::size_t i = end; i-- > at;) {
+            v = (v << 8) | p[i];
         }
-        t[b] = static_cast<std::uint8_t>(r);
     }
-    return t;
-}();
+    return v;
+}
 
 } // namespace
 
-void
-ObjectPacker::endEntry()
+std::size_t
+nextEntryEnd(const std::uint8_t *end_map, std::size_t map_bytes,
+             std::size_t from)
 {
-    const std::size_t last = buckets_.size() - 1;
-    endMap_.resize((buckets_.size() + 7) / 8);
-    endMap_[last / 8] |= static_cast<std::uint8_t>(1u << (last % 8));
-    ++entries_;
+    for (std::size_t byte = from / 8; byte < map_bytes; byte += 8) {
+        std::uint64_t w = loadWord(end_map, byte, map_bytes);
+        if (byte == from / 8) {
+            w &= ~std::uint64_t{0} << (from % 8);
+        }
+        if (w) {
+            return 8 * byte + static_cast<std::size_t>(std::countr_zero(w));
+        }
+    }
+    return 8 * map_bytes;
 }
 
 void
@@ -41,101 +67,140 @@ ObjectPacker::packBits(const SlotBitmap &bits)
 {
     // n = 8q + r bits plus the marker take q + 1 buckets. The first
     // holds 7 - r padding zeros, the marker and bits [0, r); each later
-    // bucket holds the next eight bits, MSB first.
+    // bucket holds the next eight bits, MSB first. In stream order,
+    // LSB first, that is the marker at bit 7 - r and bit i at 8 - r + i:
+    // one word per 56 bits, then bit-reversed within each byte.
     const std::size_t n = bits.size();
     const auto head = static_cast<unsigned>(n % 8);
-    std::uint8_t first = static_cast<std::uint8_t>(1u << head);
-    if (head > 0) {
-        first |= static_cast<std::uint8_t>(
-            kReversed[bits.chunk(0, head)] >> (8 - head));
+    std::uint64_t w = std::uint64_t{1} << (7 - head);
+    unsigned at = 8 - head; // stream bit of the next payload bit
+    for (std::size_t i = 0; i < n;) {
+        const auto k = static_cast<unsigned>(
+            std::min<std::size_t>(std::min(56u, 64 - at), n - i));
+        w |= bits.chunk(i, k) << at;
+        i += k;
+        at += k;
+        if (at == 64) {
+            append(reverseBitsInBytes(w), 8);
+            w = 0;
+            at = 0;
+        }
     }
-    buckets_.push_back(first);
-    for (std::size_t i = head; i < n; i += 8) {
-        buckets_.push_back(kReversed[bits.chunk(i, 8)]);
+    if (at > 0) {
+        append(reverseBitsInBytes(w), at / 8);
     }
     endEntry();
 }
 
 void
-ObjectPacker::packValue(std::uint64_t v)
+ObjectPacker::packWide(std::uint64_t v)
 {
-    // Significant bits behind a marker '1', MSB first; zero contributes
-    // no payload bits. A w-bit value takes w / 8 + 1 buckets (at most
-    // 9: a 64-bit value's marker sits alone in its first bucket).
+    // Significant bits behind a marker '1', MSB first. A w-bit value
+    // takes w / 8 + 1 buckets (at most 9: a 64-bit value's marker sits
+    // alone in its first bucket).
     const auto width = static_cast<unsigned>(std::bit_width(v));
-    unsigned n = width / 8 + 1;
+    const unsigned n = width / 8 + 1;
     if (n == 9) {
         buckets_.push_back(1);
-        n = 8;
+        append(__builtin_bswap64(v), 8);
     } else {
         v |= std::uint64_t{1} << width;
-    }
-    for (unsigned i = n; i-- > 0;) {
-        buckets_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+        append(__builtin_bswap64(v << (64 - 8 * n)), n);
     }
     endEntry();
 }
 
-bool
-ObjectUnpacker::endsEntry(std::size_t bucket) const
+void
+ObjectPacker::append(std::uint64_t bytes, unsigned n)
 {
-    decode_check(bucket / 8 < endMap_->size(), DecodeStatus::Truncated,
-                 bucket, "end map shorter than bucket array");
-    return ((*endMap_)[bucket / 8] >> (bucket % 8)) & 1;
+    buckets_.append(reinterpret_cast<const std::uint8_t *>(&bytes), n);
 }
 
 std::size_t
 ObjectUnpacker::nextRun()
 {
-    decode_check(!done(), DecodeStatus::Truncated, pos_,
+    const std::size_t n = buckets_.size();
+    decode_check(pos_ < n, DecodeStatus::Truncated, pos_,
                  "unpacker exhausted");
     const std::size_t first = pos_;
-    while (!endsEntry(pos_)) {
-        ++pos_;
-        decode_check(pos_ < buckets_->size(), DecodeStatus::Truncated,
-                     pos_, "unterminated packed entry");
+    const std::uint8_t *map = endMap_.data();
+    const std::size_t covered = endMap_.size() * 8;
+    // The entry ends at the next end-map bit, which must lie inside both
+    // the bucket array and the end map; which bound runs out first
+    // decides the error and its offset. Most entries end in the end-map
+    // byte they start in (one-bucket references, short bitmaps).
+    const unsigned here = first < covered ? map[first / 8] >> (first % 8) : 0;
+    const std::size_t end =
+        here ? first + static_cast<std::size_t>(std::countr_zero(here))
+             : nextEntryEnd(map, endMap_.size(), first);
+    if (end < n && end < covered) {
+        pos_ = end + 1;
+        return first;
     }
-    ++pos_;
-    return first;
+    decode_check(covered >= n, DecodeStatus::Truncated,
+                 std::max(first, covered),
+                 "end map shorter than bucket array");
+    throwDecode(DecodeStatus::Truncated, n, "unterminated packed entry");
 }
 
 std::size_t
 ObjectUnpacker::markerBit(std::size_t first) const
 {
     std::size_t b = first;
-    while (b < pos_ && (*buckets_)[b] == 0) {
+    while (b < pos_ && buckets_[b] == 0) {
         ++b;
     }
     decode_check(b < pos_, DecodeStatus::Malformed, first,
                  "packed entry missing marker bit");
     return 8 * (b - first) +
-           static_cast<std::size_t>(std::countl_zero((*buckets_)[b]));
+           static_cast<std::size_t>(std::countl_zero(buckets_[b]));
 }
 
 SlotBitmap
 ObjectUnpacker::nextBits(std::vector<std::uint64_t> &words)
 {
     const std::size_t first = nextRun();
-    // Payload: run bits after the marker, copied a bucket at a time.
+    const std::size_t len = pos_ - first;
+    if (len <= 8) {
+        // The whole run in one word, first bucket highest: the payload
+        // is the bits below the marker, slot 0 highest, so reversing
+        // them puts slot i at bit i.
+        std::uint64_t run = 0;
+        for (std::size_t b = first; b < pos_; ++b) {
+            run = (run << 8) | buckets_[b];
+        }
+        if (run != 0) {
+            const auto n = static_cast<std::size_t>(
+                std::bit_width(run) - 1);
+            const std::uint64_t payload =
+                run & ((std::uint64_t{1} << n) - 1);
+            words.assign(1, n ? __builtin_bswap64(reverseBitsInBytes(
+                                    payload)) >> (64 - n)
+                              : 0);
+            return SlotBitmap(words.data(), n);
+        }
+    }
+    // Payload: run bits after the marker, 64 at a time. Loads stop at
+    // the run's end, so bits past the payload read zero.
     const std::size_t skip = markerBit(first) + 1;
     const std::size_t n = 8 * (pos_ - first) - skip;
-    words.assign(n / 64 + 2, 0); // spare word absorbs the last spill
-    std::size_t out = 0;
-    for (std::size_t b = first + skip / 8; b < pos_; ++b) {
-        const unsigned drop = b == first + skip / 8 ? skip % 8 : 0;
-        const std::uint64_t v = kReversed[(*buckets_)[b]] >> drop;
-        const unsigned sh = out % 64;
-        words[out / 64] |= v << sh;
-        if (sh + (8 - drop) > 64) {
-            words[out / 64 + 1] |= v >> (64 - sh);
+    words.assign(n / 64 + 1, 0);
+    const std::uint8_t *b = buckets_.data();
+    for (std::size_t w = 0; 64 * w < n; ++w) {
+        const std::size_t bit = 8 * first + skip + 64 * w;
+        const unsigned sh = bit % 8;
+        std::uint64_t x = reverseBitsInBytes(loadWord(b, bit / 8, pos_)) >> sh;
+        if (sh) {
+            x |= reverseBitsInBytes(loadWord(b, bit / 8 + 8, pos_))
+                 << (64 - sh);
         }
-        out += 8 - drop;
+        words[w] = x;
     }
     return SlotBitmap(words.data(), n);
 }
 
 std::uint64_t
-ObjectUnpacker::nextValue()
+ObjectUnpacker::nextRunValue()
 {
     const std::size_t at = pos_;
     const std::size_t first = nextRun();
@@ -145,9 +210,9 @@ ObjectUnpacker::nextValue()
                  "packed value wider than 64 bits");
     // The marker bucket's bits below the marker, then whole buckets.
     const std::size_t mb = first + marker / 8;
-    std::uint64_t v = (*buckets_)[mb] & ((1u << (7 - marker % 8)) - 1);
+    std::uint64_t v = buckets_[mb] & ((1u << (7 - marker % 8)) - 1);
     for (std::size_t b = mb + 1; b < pos_; ++b) {
-        v = (v << 8) | (*buckets_)[b];
+        v = (v << 8) | buckets_[b];
     }
     return v;
 }
@@ -292,9 +357,8 @@ CerealStream::decode(const std::vector<std::uint8_t> &bytes)
     s.valueArray.resize(n_values);
     std::memcpy(s.valueArray.data(), bytes.data() + at, n_values * 8);
     at += n_values * 8;
-    auto grab = [&](std::vector<std::uint8_t> &dst, std::uint64_t n) {
-        dst.assign(bytes.begin() + static_cast<std::ptrdiff_t>(at),
-                   bytes.begin() + static_cast<std::ptrdiff_t>(at + n));
+    auto grab = [&](sim::GrowArray<std::uint8_t> &dst, std::uint64_t n) {
+        dst.append(bytes.data() + at, n);
         at += n;
     };
     grab(s.refBuckets, n_ref_buckets);

@@ -33,10 +33,14 @@
 #ifndef CEREAL_CEREAL_FORMAT_HH
 #define CEREAL_CEREAL_FORMAT_HH
 
+#include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "heap/klass.hh"
+#include "sim/arena.hh"
 #include "sim/types.hh"
 
 namespace cereal {
@@ -57,12 +61,23 @@ class ObjectPacker
     void packBits(const SlotBitmap &bits);
 
     /** Append an unsigned value's significant bits (references). */
-    void packValue(std::uint64_t v);
+    void
+    packValue(std::uint64_t v)
+    {
+        if (v == 0) {
+            // Null references, most of a reference array: the marker
+            // alone in one bucket.
+            buckets_.push_back(1);
+            endEntry();
+        } else {
+            packWide(v);
+        }
+    }
 
-    const std::vector<std::uint8_t> &buckets() const { return buckets_; }
+    const sim::GrowArray<std::uint8_t> &buckets() const { return buckets_; }
     /** End map: bit i set iff bucket i ends an entry (bit 0 = LSB of
      *  byte 0). */
-    const std::vector<std::uint8_t> &endMap() const { return endMap_; }
+    const sim::GrowArray<std::uint8_t> &endMap() const { return endMap_; }
 
     /** Number of packed entries. */
     std::uint64_t entries() const { return entries_; }
@@ -74,24 +89,42 @@ class ObjectPacker
         return buckets_.size() + endMap_.size();
     }
 
-    /** Move the buckets and end map out; the packer is left empty. */
+    /** Move the buckets and end map out, trimmed to size; the packer
+     *  is left empty. */
     void
-    moveTo(std::vector<std::uint8_t> &buckets,
-           std::vector<std::uint8_t> &end_map)
+    moveTo(sim::GrowArray<std::uint8_t> &buckets,
+           sim::GrowArray<std::uint8_t> &end_map)
     {
+        buckets_.shrinkToFit();
+        endMap_.shrinkToFit();
         buckets = std::move(buckets_);
         end_map = std::move(endMap_);
-        buckets_.clear();
-        endMap_.clear();
+        buckets_ = {};
+        endMap_ = {};
         entries_ = 0;
     }
 
   private:
-    /** Mark the last bucket as the end of an entry. */
-    void endEntry();
+    /** packValue() of a non-zero value. */
+    void packWide(std::uint64_t v);
 
-    std::vector<std::uint8_t> buckets_;
-    std::vector<std::uint8_t> endMap_;
+    /** Append the low @p n bytes of @p bytes, lowest first. */
+    void append(std::uint64_t bytes, unsigned n);
+
+    /** Mark the last bucket as the end of an entry. */
+    void
+    endEntry()
+    {
+        const std::size_t last = buckets_.size() - 1;
+        if (last / 8 >= endMap_.size()) {
+            endMap_.resize(last / 8 + 1);
+        }
+        endMap_.back() |= static_cast<std::uint8_t>(1u << (last % 8));
+        ++entries_;
+    }
+
+    sim::GrowArray<std::uint8_t> buckets_;
+    sim::GrowArray<std::uint8_t> endMap_;
     std::uint64_t entries_ = 0;
 };
 
@@ -99,14 +132,14 @@ class ObjectPacker
 class ObjectUnpacker
 {
   public:
-    ObjectUnpacker(const std::vector<std::uint8_t> &buckets,
-                   const std::vector<std::uint8_t> &end_map)
-        : buckets_(&buckets), endMap_(&end_map)
+    ObjectUnpacker(std::span<const std::uint8_t> buckets,
+                   std::span<const std::uint8_t> end_map)
+        : buckets_(buckets), endMap_(end_map)
     {
     }
 
     /** True when no more entries remain. */
-    bool done() const { return pos_ >= buckets_->size(); }
+    bool done() const { return pos_ >= buckets_.size(); }
 
     /**
      * Next entry as a bit string (marker and padding removed), decoded
@@ -117,10 +150,22 @@ class ObjectUnpacker
     SlotBitmap nextBits(std::vector<std::uint64_t> &words);
 
     /** Next entry interpreted as an unsigned value. */
-    std::uint64_t nextValue();
+    std::uint64_t
+    nextValue()
+    {
+        // One-bucket entries (most references): the bits below the
+        // marker. Anything else, errors included, takes the full path.
+        if (pos_ < buckets_.size() && pos_ / 8 < endMap_.size() &&
+            (endMap_[pos_ / 8] >> (pos_ % 8)) & 1 && buckets_[pos_] != 0) {
+            const unsigned b = buckets_[pos_++];
+            return b & ((1u << (std::bit_width(b) - 1)) - 1);
+        }
+        return nextRunValue();
+    }
 
   private:
-    bool endsEntry(std::size_t bucket) const;
+    /** nextValue() of any entry. */
+    std::uint64_t nextRunValue();
 
     /** Consume the next entry's bucket run; @return its first bucket
      *  (the run ends at pos_). */
@@ -130,10 +175,18 @@ class ObjectUnpacker
      *  bucket. */
     std::size_t markerBit(std::size_t first) const;
 
-    const std::vector<std::uint8_t> *buckets_;
-    const std::vector<std::uint8_t> *endMap_;
+    std::span<const std::uint8_t> buckets_;
+    std::span<const std::uint8_t> endMap_;
     std::size_t pos_ = 0;
 };
+
+/**
+ * Index of the first set bit at or after bit @p from of an end map of
+ * @p map_bytes bytes (bit i = bit i % 8 of byte i / 8), or 8 *
+ * @p map_bytes when there is none. Scans a word at a time.
+ */
+std::size_t nextEntryEnd(const std::uint8_t *end_map, std::size_t map_bytes,
+                         std::size_t from);
 
 /** Reference-array entry encoding: +1-biased slot index; 0 is null. */
 constexpr std::uint64_t
@@ -156,13 +209,13 @@ constexpr std::uint64_t kNullRefToken = 0;
 struct CerealStream
 {
     /** Non-reference slots, 8 B each, objects in discovery order. */
-    std::vector<std::uint64_t> valueArray;
+    sim::GrowArray<std::uint64_t> valueArray;
     /** Packed reference array + its end map. */
-    std::vector<std::uint8_t> refBuckets;
-    std::vector<std::uint8_t> refEndMap;
+    sim::GrowArray<std::uint8_t> refBuckets;
+    sim::GrowArray<std::uint8_t> refEndMap;
     /** Packed per-object layout bitmaps + end map. */
-    std::vector<std::uint8_t> bitmapBuckets;
-    std::vector<std::uint8_t> bitmapEndMap;
+    sim::GrowArray<std::uint8_t> bitmapBuckets;
+    sim::GrowArray<std::uint8_t> bitmapEndMap;
     /** Sum of object sizes = deserialized image size, bytes. */
     std::uint32_t totalGraphBytes = 0;
     /** Number of serialized objects. */

@@ -136,6 +136,13 @@ class Heap
      */
     void noteObject(Addr addr) { objects_.push_back(addr); }
 
+    /** Make room for @p n more objects in the object list. */
+    void
+    reserveObjects(std::size_t n)
+    {
+        objects_.reserve(objects_.size() + n);
+    }
+
     // --- raw memory access -------------------------------------------
 
     std::uint64_t load64(Addr addr) const;
@@ -152,6 +159,13 @@ class Heap
      */
     const std::uint8_t *
     view(Addr addr, Addr n) const
+    {
+        return hostPtr(addr, n);
+    }
+
+    /** Writable host view of [addr, addr+n), as view(). */
+    std::uint8_t *
+    span(Addr addr, Addr n)
     {
         return hostPtr(addr, n);
     }

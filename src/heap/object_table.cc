@@ -2,15 +2,24 @@
 
 namespace cereal {
 
+namespace {
+
+/** Bytes of a table over @p heap_bytes of arena. */
+std::size_t
+tableBytes(Addr heap_bytes, Addr granule, std::uint64_t max_entry)
+{
+    panic_if(heap_bytes / granule >= max_entry,
+             "heap of %llu B too large for a 32-bit object table",
+             (unsigned long long)heap_bytes);
+    return (heap_bytes / granule + 1) * sizeof(std::uint32_t);
+}
+
+} // namespace
+
 ObjectTable::ObjectTable(const Heap &heap)
     : base_(heap.base()), bytes_(heap.usedBytes()),
-      slots_(static_cast<std::uint32_t *>(
-          sim::zeroedAlloc(size() * sizeof(std::uint32_t))))
+      slots_(tableBytes(bytes_, kGranule, kMaxEntry))
 {
-    panic_if(bytes_ / kGranule >= kMaxEntry,
-             "heap of %llu B too large for a 32-bit object table",
-             (unsigned long long)bytes_);
-    panic_if(!slots_, "object table allocation failed");
 }
 
 } // namespace cereal

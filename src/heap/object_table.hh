@@ -11,9 +11,10 @@
  * granule, and a key must be an object start. An entry of 0 means
  * "absent", so callers store a value plus one (see entry()).
  *
- * It costs a quarter of the heap's allocated bytes, zeroed by the
- * allocator, so it suits walks that reach a large share of the heap:
- * the SU's visited table, the round-trip isomorphism check and the
+ * It costs a quarter of the heap's allocated bytes, zeroed, from a
+ * sim::ZeroedBlock (a large table reuses a block its thread kept from
+ * an earlier call), so it suits walks that reach a large share of the
+ * heap: the SU's visited table, the round-trip isomorphism check and the
  * software serializers' handle maps. DESIGN.md ("Simulation performance
  * model") lists the callers and why none of them walks a small graph
  * inside a much larger heap repeatedly.
@@ -23,9 +24,9 @@
 #define CEREAL_HEAP_OBJECT_TABLE_HH
 
 #include <cstdint>
-#include <memory>
 
 #include "heap/heap.hh"
+#include "sim/arena.hh"
 #include "sim/logging.hh"
 
 namespace cereal {
@@ -43,7 +44,11 @@ class ObjectTable
     explicit ObjectTable(const Heap &heap);
 
     /** The entry of the object at @p obj; panics outside the arena. */
-    std::uint32_t &operator[](Addr obj) { return slots_[index(obj)]; }
+    std::uint32_t &
+    operator[](Addr obj)
+    {
+        return static_cast<std::uint32_t *>(slots_.get())[index(obj)];
+    }
 
     /** Entry index of the object at @p obj in the captured arena. */
     std::uint32_t
@@ -89,7 +94,7 @@ class ObjectTable
 
     Addr base_;
     Addr bytes_;
-    std::unique_ptr<std::uint32_t[], sim::Free> slots_;
+    sim::ZeroedBlock slots_;
 };
 
 } // namespace cereal

@@ -28,13 +28,18 @@
 #include <utility>
 #include <vector>
 
+#include "sim/arena.hh"
 #include "sim/logging.hh"
 #include "sim/types.hh"
 
 namespace cereal {
 namespace sim {
 
-/** FIFO queue over a growable power-of-two ring buffer. */
+/**
+ * FIFO queue over a growable power-of-two ring buffer. A large ring is
+ * a mapping of its own that grows in place (sim/arena.hh); T must be
+ * trivially copyable.
+ */
 template <typename T>
 class RingQueue
 {
@@ -69,18 +74,17 @@ class RingQueue
     }
 
   private:
+    /** Grow a full ring to @p cap entries; entries that wrapped past
+     *  the old end move to just after it. */
     void
     regrow(std::size_t cap)
     {
-        std::vector<T> next(cap);
-        for (std::size_t i = 0; i < size_; ++i) {
-            next[i] = buf_[(head_ + i) & (buf_.size() - 1)];
-        }
-        buf_ = std::move(next);
-        head_ = 0;
+        const std::size_t old = buf_.size();
+        buf_.resize(cap);
+        std::copy(buf_.begin(), buf_.begin() + head_, buf_.begin() + old);
     }
 
-    std::vector<T> buf_;
+    GrowArray<T, kept::Use::Transient> buf_;
     std::size_t head_ = 0;
     std::size_t size_ = 0;
 };
@@ -107,6 +111,9 @@ class LruSet
     bool
     touch(K key)
     {
+        if (!keys_.empty() && keys_.front() == key) {
+            return true; // already the most recent: nothing moves
+        }
         auto it = std::find(keys_.begin(), keys_.end(), key);
         const bool hit = it != keys_.end();
         if (!hit) {

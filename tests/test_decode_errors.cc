@@ -13,25 +13,35 @@
  *    false success;
  *  - the committed regression corpus (tests/corpus) replays through
  *    all seven decoders (six serializers plus the partition frame)
- *    with zero contract violations.
+ *    with zero contract violations;
+ *  - the Cereal decoder's verdict, status and offset, on every proper
+ *    prefix and on seeded byte mutations of three streams matches a
+ *    pinned golden file, so a faster codec cannot move a single one.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <functional>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "cereal/cereal_serializer.hh"
 #include "cluster/frame.hh"
+#include "fuzz/corpus.hh"
 #include "fuzz/fuzzer.hh"
 #include "heap/heap.hh"
 #include "heap/object.hh"
 #include "serde/bytes.hh"
 #include "serde/decode_error.hh"
 #include "serde/registry.hh"
+#include "sim/rng.hh"
+#include "workloads/micro.hh"
 
 namespace cereal {
 namespace {
@@ -578,6 +588,157 @@ TEST(FuzzCorpus, CommittedCorpusReplaysWithoutViolations)
     EXPECT_EQ(stats.roundTrips, stats.decodeOk);
     // The corpus pins a spread of error classes, not one.
     EXPECT_GE(stats.byStatus.size(), 5u);
+}
+
+// ---------------------------------------------------------------------
+// Cereal decoder verdicts, pinned
+// ---------------------------------------------------------------------
+
+/** "ok", or the decode error's status and offset. */
+std::string
+cerealVerdict(CerealSerializer &ser, KlassRegistry &reg,
+              const Bytes &bytes)
+{
+    Heap dst(reg, kTestHeapBase);
+    const auto res = ser.tryDeserialize(bytes, dst);
+    if (res.ok()) {
+        return "ok";
+    }
+    return strfmt("%s %zu", decodeStatusName(res.error().status()),
+                  res.error().offset());
+}
+
+/**
+ * Verdicts on @p bytes, one line each: every proper prefix (runs of
+ * equal verdicts folded into one "prefix <from>-<to>" line), then
+ * 2,000 seeded mutations that each flip one to three bytes.
+ */
+void
+writeVerdicts(std::ostream &out, const std::string &name,
+              KlassRegistry &reg, CerealSerializer &ser,
+              const Bytes &bytes)
+{
+    std::size_t from = 0;
+    std::string run;
+    for (std::size_t n = 0; n <= bytes.size(); ++n) {
+        const std::string v =
+            n < bytes.size()
+                ? cerealVerdict(ser, reg,
+                                Bytes(bytes.begin(),
+                                      bytes.begin() +
+                                          static_cast<std::ptrdiff_t>(n)))
+                : std::string();
+        if (n > 0 && v != run) {
+            out << name << " prefix " << from << "-" << n - 1 << " " << run
+                << "\n";
+            from = n;
+        }
+        run = v;
+    }
+    Rng rng(0xce4ea1);
+    for (int i = 0; i < 2000; ++i) {
+        Bytes m = bytes;
+        const auto flips = rng.range(1, 3);
+        for (std::uint64_t f = 0; f < flips; ++f) {
+            m[rng.below(m.size())] ^=
+                static_cast<std::uint8_t>(rng.range(1, 255));
+        }
+        out << name << " mutation " << i << " "
+            << cerealVerdict(ser, reg, m) << "\n";
+    }
+}
+
+/** TreeWide with 73 nodes (root, 8 children, 64 leaves). */
+Addr
+buildSmallTreeWide(KlassRegistry &reg, Heap &heap)
+{
+    workloads::MicroWorkloads micro(reg);
+    return micro.build(heap, workloads::MicroBench::TreeWide,
+                       19'173'960 / 73, 42);
+}
+
+/**
+ * An Object[] of primitive arrays of every element width, a reference
+ * array with a null, a shared element and a nested array, and a node.
+ */
+Addr
+buildArrayHeavy(KlassRegistry &reg, Heap &heap)
+{
+    const KlassId node = reg.add("Node", {{"value", FieldType::Long},
+                                          {"next", FieldType::Reference}});
+    const Addr n = heap.allocateInstance(node);
+    ObjectView(heap, n).setLong(0, 0x0123456789abcdefLL);
+    auto prim = [&](FieldType t, std::uint64_t len) {
+        const Addr a = heap.allocateArray(t, len);
+        ObjectView v(heap, a);
+        for (std::uint64_t i = 0; i < len; ++i) {
+            v.setElem(i, 0x9e3779b97f4a7c15ULL * (i + 1));
+        }
+        return a;
+    };
+    const Addr bytes = prim(FieldType::Byte, 13);
+    const Addr chars = prim(FieldType::Char, 5);
+    const Addr ints = prim(FieldType::Int, 3);
+    const Addr longs = prim(FieldType::Long, 4);
+    const Addr doubles = prim(FieldType::Double, 2);
+    const Addr empty = prim(FieldType::Short, 0);
+    const Addr inner = heap.allocateArray(FieldType::Reference, 1);
+    ObjectView(heap, inner).setRefElem(0, n);
+    const Addr refs = heap.allocateArray(FieldType::Reference, 4);
+    ObjectView rv(heap, refs);
+    rv.setRefElem(0, n);
+    rv.setRefElem(2, inner);
+    rv.setRefElem(3, ints);
+    const Addr root = heap.allocateArray(FieldType::Reference, 9);
+    ObjectView root_v(heap, root);
+    std::uint64_t i = 0;
+    for (Addr a : {bytes, chars, ints, longs, doubles, empty, refs, n}) {
+        root_v.setRefElem(i++, a);
+    }
+    return root;
+}
+
+TEST(CerealVerdicts, MatchTheGoldenFile)
+{
+    struct Shape
+    {
+        const char *name;
+        Addr (*build)(KlassRegistry &, Heap &);
+        bool headerStrip;
+    };
+    const Shape shapes[] = {{"tree-wide", buildSmallTreeWide, false},
+                            {"arrays", buildArrayHeavy, false},
+                            {"stripped", buildCorpusGraph, true}};
+    std::ostringstream got;
+    for (const auto &shape : shapes) {
+        KlassRegistry reg;
+        Heap src(reg, 0x1'0000'0000ULL);
+        const Addr root = shape.build(reg, src);
+        CerealSerializer ser(CerealOptions{shape.headerStrip});
+        ser.registerAll(reg);
+        const Bytes bytes = ser.serialize(src, root);
+        ASSERT_EQ(cerealVerdict(ser, reg, bytes), "ok") << shape.name;
+        writeVerdicts(got, shape.name, reg, ser, bytes);
+    }
+
+    const std::string path =
+        std::string(CEREAL_GOLDEN_DIR) + "/cereal_verdicts.txt";
+    if (std::getenv("CEREAL_UPDATE_GOLDEN")) {
+        std::ofstream(path, std::ios::binary) << got.str();
+        GTEST_SKIP() << "rewrote " << path;
+    }
+    std::ifstream in(path, std::ios::binary);
+    ASSERT_TRUE(in) << "missing " << path;
+    std::stringstream want;
+    want << in.rdbuf();
+    // Line by line first, so a mismatch names the first verdict moved.
+    std::istringstream a(got.str()), b(want.str());
+    std::string la, lb;
+    for (int line = 1; std::getline(b, lb); ++line) {
+        ASSERT_TRUE(std::getline(a, la)) << "verdicts end at line " << line;
+        ASSERT_EQ(la, lb) << "line " << line;
+    }
+    EXPECT_EQ(got.str(), want.str());
 }
 
 } // namespace

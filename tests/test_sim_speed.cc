@@ -3,12 +3,15 @@
  * The sim-speed tier: tests for the simulator fast path.
  *
  *  - BufferPool / ContiguousBuffer semantics (capacity recycling,
- *    zeroing, growth in place, the reservation's limit) and the
- *    ObjectTable's one entry per 16 B.
+ *    zeroing, growth in place, the reservation's limit), kept blocks
+ *    (an output array grows in place and gets its block back, a reused
+ *    table block reads zero, a ring keeps FIFO order as it grows) and
+ *    the ObjectTable's one entry per 16 B.
  *  - A global-operator-new counting proof that the hot event loop
  *    allocates zero bytes per event (same technique as test_trace's
  *    null-sink guarantee), that Cereal serialization, functional
- *    and accelerator model, allocates nothing per object, and that
+ *    and accelerator model, allocates nothing per object, that the
+ *    packer's outputs are not grown by doubling, and that
  *    deserialization keeps no side table per reference or, in the
  *    DU, per output block.
  *  - Dram::accessRange batched fast path vs the per-burst access()
@@ -27,7 +30,9 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <deque>
 #include <new>
+#include <thread>
 #include <vector>
 
 #include "cereal/accel/device.hh"
@@ -195,6 +200,90 @@ TEST(ContiguousBuffer, GrowsInPlaceAndThrowsPastItsReservation)
     EXPECT_EQ(fresh.data(), nullptr);
 }
 
+// --------------------------------------------- kept blocks
+
+/** Run @p f on a thread of its own, so it starts with nothing kept. */
+template <typename F>
+void
+onFreshThread(F f)
+{
+    std::thread(f).join();
+}
+
+TEST(KeptBlocks, OutputGrowsInPlaceTrimsAndComesBack)
+{
+    onFreshThread([] {
+        constexpr std::size_t n = 600'000; // 4.8 MB, past kMinBytes
+        const void *block = nullptr;
+        {
+            sim::GrowArray<std::uint64_t> a;
+            for (std::size_t i = 0; i < n; ++i) {
+                a.push_back(i * 0x9e3779b97f4a7c15ULL);
+            }
+            for (std::size_t i = 0; i < n; ++i) {
+                ASSERT_EQ(a[i], i * 0x9e3779b97f4a7c15ULL) << i;
+            }
+            a.shrinkToFit();
+            EXPECT_EQ(a.size(), n);
+            EXPECT_LE(a.capacity() * 8, n * 8 + 4096);
+            EXPECT_EQ(a[n - 1], (n - 1) * 0x9e3779b97f4a7c15ULL);
+            block = a.data();
+        }
+        // The next array to outgrow kMinBytes on this thread gets the
+        // kept block back.
+        sim::GrowArray<std::uint64_t> b;
+        b.resize(n);
+        EXPECT_EQ(b.data(), block);
+        // Small arrays stay on the global allocator and take nothing.
+        sim::GrowArray<std::uint8_t> small = {1, 2, 3};
+        EXPECT_NE(static_cast<const void *>(small.data()), block);
+        EXPECT_EQ(small, (std::vector<std::uint8_t>{1, 2, 3}));
+    });
+}
+
+TEST(KeptBlocks, ReusedTableBlocksReadZero)
+{
+    onFreshThread([] {
+        constexpr std::size_t bytes = std::size_t{3} << 20;
+        void *first = nullptr;
+        {
+            sim::ZeroedBlock t(bytes);
+            first = t.get();
+            std::memset(t.get(), 0xff, bytes);
+        }
+        // A smaller table takes the same block, cleared for its size.
+        sim::ZeroedBlock t(bytes / 2);
+        EXPECT_EQ(t.get(), first);
+        const auto *p = static_cast<const std::uint8_t *>(t.get());
+        EXPECT_TRUE(std::all_of(p, p + bytes / 2,
+                                [](std::uint8_t b) { return b == 0; }));
+    });
+}
+
+TEST(KeptBlocks, RingKeepsFifoOrderAcrossWrappedGrowth)
+{
+    // Pops between pushes make the ring wrap before each growth, and it
+    // grows past kMinBytes into a mapping that grows in place.
+    sim::RingQueue<std::uint64_t> ring;
+    std::deque<std::uint64_t> ref;
+    std::uint64_t next = 0;
+    for (int round = 0; round < 200'000; ++round) {
+        for (int k = 0; k < 3; ++k) {
+            ring.push_back(next);
+            ref.push_back(next++);
+        }
+        ASSERT_EQ(ring.front(), ref.front()) << round;
+        ring.pop_front();
+        ref.pop_front();
+    }
+    ASSERT_EQ(ring.size(), ref.size());
+    while (!ref.empty()) {
+        ASSERT_EQ(ring.front(), ref.front());
+        ring.pop_front();
+        ref.pop_front();
+    }
+}
+
 // --------------------------------------------- object table footprint
 
 TEST(ObjectTableFootprint, SmallestAdjacentObjectsGetDistinctEntries)
@@ -308,6 +397,38 @@ TEST(CerealHotPath, AllocationsDoNotGrowWithObjectCount)
     EXPECT_LE(large.device, small.device + 24)
         << small.device << " -> " << large.device << " for "
         << small.objects << " -> " << large.objects << " objects";
+}
+
+TEST(CerealHotPath, PackWritesItsOutputsOnce)
+{
+    // At scale 64, TreeWide's value array holds 9.1 MiB. Grown by
+    // doubling it would sit in 16 MiB of capacity, and every smaller
+    // power of two would have been requested and copied on the way.
+    KlassRegistry reg;
+    workloads::MicroWorkloads micro(reg);
+    Heap src(reg);
+    const Addr root =
+        micro.build(src, workloads::MicroBench::TreeWide, 64, 42);
+    CerealSerializer ser;
+    ser.registerAll(reg);
+
+    const std::uint64_t before = g_allocBytes.load();
+    const CerealStream s = ser.serializeToStream(src, root);
+    const std::uint64_t requested = g_allocBytes.load() - before;
+
+    auto check = [](const char *name, const auto &a) {
+        EXPECT_LE(a.capacity() * 4, a.size() * 5)
+            << name << ": " << a.size() << " entries in a capacity of "
+            << a.capacity();
+    };
+    check("value array", s.valueArray);
+    check("reference buckets", s.refBuckets);
+    check("reference end map", s.refEndMap);
+    check("bitmap buckets", s.bitmapBuckets);
+    check("bitmap end map", s.bitmapEndMap);
+    EXPECT_LE(requested * 4, s.serializedBytes() * 5)
+        << requested << " B requested for a " << s.serializedBytes()
+        << " B stream";
 }
 
 // ------------------------------ in-place reference resolution
