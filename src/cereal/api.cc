@@ -40,16 +40,6 @@ ObjectInputStream::nextRecord()
     return rec;
 }
 
-DecodeResult<std::vector<std::uint8_t>>
-ObjectInputStream::tryNextRecord()
-{
-    try {
-        return nextRecord();
-    } catch (const DecodeError &e) {
-        return e;
-    }
-}
-
 CerealContext::CerealContext(Dram &dram, AccelConfig cfg,
                              CerealOptions opts)
     : dram_(&dram), device_(dram, cfg), serializer_(opts),
@@ -108,17 +98,6 @@ CerealContext::readObject(ObjectInputStream &ois, Heap &dst, Tick submit)
     out.root = serializer_.deserializeStream(s, dst);
     out.timing = device_.deserialize(s, out.root, submit);
     return out;
-}
-
-DecodeResult<ReadObjectResult>
-CerealContext::tryReadObject(ObjectInputStream &ois, Heap &dst,
-                             Tick submit)
-{
-    try {
-        return readObject(ois, dst, submit);
-    } catch (const DecodeError &e) {
-        return e;
-    }
 }
 
 } // namespace cereal

@@ -61,9 +61,6 @@ class ObjectInputStream
     /** Extract the next length-prefixed record. */
     std::vector<std::uint8_t> nextRecord();
 
-    /** Non-throwing nextRecord for untrusted streams. */
-    DecodeResult<std::vector<std::uint8_t>> tryNextRecord();
-
   private:
     const std::vector<std::uint8_t> *buf_;
     std::size_t pos_ = 0;
@@ -122,10 +119,6 @@ class CerealContext
      */
     ReadObjectResult readObject(ObjectInputStream &ois, Heap &dst,
                                 Tick submit = 0);
-
-    /** Non-throwing readObject for untrusted streams. */
-    DecodeResult<ReadObjectResult>
-    tryReadObject(ObjectInputStream &ois, Heap &dst, Tick submit = 0);
 
     CerealDevice &device() { return device_; }
     CerealSerializer &serializer() { return serializer_; }

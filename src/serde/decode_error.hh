@@ -9,9 +9,8 @@
  *  - decoders NEVER abort the process on malformed input; they throw a
  *    DecodeError carrying a status code and the stream offset at which
  *    the problem was detected;
- *  - Serializer::tryDeserialize() (and CerealContext::tryReadObject())
- *    wrap that into a DecodeResult for callers that prefer a value
- *    channel over exceptions;
+ *  - Serializer::tryDeserialize() wraps that into a DecodeResult for
+ *    callers that prefer a value channel over exceptions;
  *  - all allocations a decoder performs are bounded by a small constant
  *    multiple of the input length, so hostile streams cannot cause
  *    unbounded allocation;
