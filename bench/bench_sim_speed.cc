@@ -8,8 +8,8 @@
  *
  *  - event-kernel: the raw EventQueue dispatch loop — a self-
  *    rescheduling event chain with fan-out, events/second.
- *  - dram-stream: Dram::accessRange() streaming over a large span on
- *    the batched (non-observing) fast path, bursts/second.
+ *  - dram-stream: Dram::accessRange() streaming over a large span,
+ *    one access() per burst, bursts/second.
  *  - cluster-serve: the open-loop serving experiment
  *    (runServingFrontend, no admission or flow control),
  *    sim-ticks/second.
@@ -152,9 +152,8 @@ main(int argc, char **argv)
             [&] {
                 EventQueue eq;
                 Dram mem("dram", eq, cfg);
-                // Non-observing, so accessRange takes the batched
-                // fast path; re-issue at the completion tick so bank
-                // state stays live across calls.
+                // Re-issue at the completion tick so bank state
+                // stays live across calls.
                 Tick t = 0;
                 constexpr Addr kChunk = 1 << 16;
                 for (Addr a = 0; a < kSpan; a += kChunk) {

@@ -77,7 +77,7 @@ Mai::blockAccess(Addr block, bool write, Tick issue)
 }
 
 Tick
-Mai::read(Addr addr, Addr bytes, Tick issue)
+Mai::rangeAccess(Addr addr, Addr bytes, bool write, Tick issue)
 {
     if (bytes == 0) {
         return issue;
@@ -86,22 +86,7 @@ Mai::read(Addr addr, Addr bytes, Tick issue)
     const Addr last = roundDown(addr + bytes - 1, 64);
     Tick done = issue;
     for (Addr b = first; b <= last; b += 64) {
-        done = std::max(done, blockAccess(b, false, issue));
-    }
-    return done;
-}
-
-Tick
-Mai::write(Addr addr, Addr bytes, Tick issue)
-{
-    if (bytes == 0) {
-        return issue;
-    }
-    const Addr first = roundDown(addr, 64);
-    const Addr last = roundDown(addr + bytes - 1, 64);
-    Tick done = issue;
-    for (Addr b = first; b <= last; b += 64) {
-        done = std::max(done, blockAccess(b, true, issue));
+        done = std::max(done, blockAccess(b, write, issue));
     }
     return done;
 }

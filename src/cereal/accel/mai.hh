@@ -50,10 +50,18 @@ class Mai
      * Read @p bytes at @p addr, issued no earlier than @p issue.
      * @return tick at which the last burst's data is available
      */
-    Tick read(Addr addr, Addr bytes, Tick issue);
+    Tick
+    read(Addr addr, Addr bytes, Tick issue)
+    {
+        return rangeAccess(addr, bytes, false, issue);
+    }
 
     /** Write @p bytes at @p addr. */
-    Tick write(Addr addr, Addr bytes, Tick issue);
+    Tick
+    write(Addr addr, Addr bytes, Tick issue)
+    {
+        return rangeAccess(addr, bytes, true, issue);
+    }
 
     /**
      * Atomic read-modify-write of one 8 B word (visited check). The
@@ -84,6 +92,9 @@ class Mai
     }
 
   private:
+    /** Every 64 B block of [addr, addr + bytes), all issued at @p issue. */
+    Tick rangeAccess(Addr addr, Addr bytes, bool write, Tick issue);
+
     /** One 64 B-granule access through the table. */
     Tick blockAccess(Addr block, bool write, Tick issue);
 

@@ -7,8 +7,8 @@
 
 namespace cereal {
 
-Dram::Dram(const std::string &name, EventQueue &eq, const DramConfig &cfg)
-    : SimObject(name, eq), cfg_(cfg)
+Dram::Dram(const std::string &, EventQueue &, const DramConfig &cfg)
+    : cfg_(cfg)
 {
     panic_if(!isPowerOf2(cfg_.burstBytes), "burst size must be 2^n");
     panic_if(!isPowerOf2(cfg_.numChannels), "channel count must be 2^n");
@@ -31,11 +31,6 @@ Dram::Dram(const std::string &name, EventQueue &eq, const DramConfig &cfg)
     tRP_ = nsToTicks(cfg_.tRPns);
     tBURST_ = nsToTicks(cfg_.tBURSTns);
     tCtrl_ = nsToTicks(cfg_.tCtrlNs);
-
-    stats().add("reads", "read bursts serviced", statReads_);
-    stats().add("writes", "write bursts serviced", statWrites_);
-    stats().add("rowHits", "row-buffer hits", statRowHits_);
-    stats().add("rowMisses", "row-buffer misses", statRowMisses_);
 
     chBytes_.assign(cfg_.numChannels, 0);
     metrics_ = metrics::Group(metrics::current(), "mem.dram");
@@ -64,9 +59,6 @@ Dram::Dram(const std::string &name, EventQueue &eq, const DramConfig &cfg)
                                     : 0.0;
                 });
         }
-        // Aggregate closures read the never-reset per-channel/cum
-        // counters so a resetStats() mid-run cannot produce negative
-        // deltas.
         metrics_.rate(
             "bw_util", "achieved / peak bandwidth across all channels",
             [this] {
@@ -80,12 +72,14 @@ Dram::Dram(const std::string &name, EventQueue &eq, const DramConfig &cfg)
                    static_cast<double>(cfg_.numChannels)));
         metrics_.ratio(
             "row_hit_rate", "row-buffer hits per access this interval",
-            [this] { return static_cast<double>(cumRowHits_); },
-            [this] { return static_cast<double>(cumAccesses_); });
-        // Cumulative counters come straight off the StatGroup, via
-        // the by-name bridge the metrics registry provides.
-        metrics_.gaugeFromStat(stats(), "reads");
-        metrics_.gaugeFromStat(stats(), "writes");
+            [this] { return static_cast<double>(rowHits_); },
+            [this] { return static_cast<double>(accesses()); });
+        metrics_.gauge("reads", "read bursts serviced", [this](Tick) {
+            return static_cast<double>(reads_);
+        });
+        metrics_.gauge("writes", "write bursts serviced", [this](Tick) {
+            return static_cast<double>(writes_);
+        });
     }
 }
 
@@ -144,23 +138,12 @@ Dram::access(Addr addr, bool write, Tick issue)
                               data_end);
     }
 
-    ++accesses_;
-    ++cumAccesses_;
     if (write) {
-        bytesWritten_ += cfg_.burstBytes;
-        ++statWrites_;
+        ++writes_;
     } else {
-        bytesRead_ += cfg_.burstBytes;
-        ++statReads_;
+        ++reads_;
     }
-    if (row_hit) {
-        ++rowHits_;
-        ++cumRowHits_;
-        ++statRowHits_;
-    } else {
-        ++statRowMisses_;
-    }
-    latencySumNs_ += static_cast<double>(complete - issue) / 1e3;
+    rowHits_ += row_hit;
     chBytes_[ch_idx] += cfg_.burstBytes;
     metrics_.tick(complete);
 
@@ -176,89 +159,11 @@ Dram::accessRange(Addr addr, Addr bytes, bool write, Tick issue)
     Addr first = roundDown(addr, cfg_.burstBytes);
     Addr last = roundDown(addr + bytes - 1, cfg_.burstBytes);
 
-    // Observing runs take the per-burst path: every burst must emit its
-    // bus span and metrics sample at the right tick.
-    if (metrics_.enabled() || !chTrace_.empty()) {
-        Tick done = issue;
-        for (Addr a = first; a <= last; a += cfg_.burstBytes) {
-            done = std::max(done, access(a, write, issue).completeTick);
-        }
-        return done;
-    }
-
-    // Batched fast path: the same timing recurrence as access() —
-    // byte-identical bank/bus state, counters, and completion ticks
-    // (proven by the equivalence tests in test_sim_speed) — with the
-    // per-burst observability hooks and stat writes hoisted out. The
-    // model is schedule-synchronous, so an idle channel "skips to its
-    // next busy tick" through the max() against the issue tick rather
-    // than by draining filler events.
-    std::uint64_t bursts = 0;
-    std::uint64_t hits = 0;
     Tick done = issue;
     for (Addr a = first; a <= last; a += cfg_.burstBytes) {
-        unsigned ch_idx, bank_idx;
-        Addr row;
-        decode(a, ch_idx, bank_idx, row);
-        Channel &ch = channels_[ch_idx];
-        Bank &bank = ch.banks[bank_idx];
-
-        Tick start = std::max(issue, bank.readyAt);
-        const bool row_hit = (bank.openRow == row);
-        Tick access_lat = tCAS_;
-        if (!row_hit) {
-            access_lat +=
-                (bank.openRow == kBadAddr) ? tRCD_ : (tRP_ + tRCD_);
-            bank.openRow = row;
-        }
-        Tick data_start = std::max(start + access_lat, ch.busFreeAt);
-        Tick data_end = data_start + tBURST_;
-        ch.busFreeAt = data_end;
-        bank.readyAt = row_hit ? start + tBURST_ : start + access_lat;
-        const Tick complete = data_end + tCtrl_;
-
-        // Kept per burst (not batched): double accumulation order
-        // affects rounding, and byte-identity with access() matters
-        // more than the last few percent here.
-        latencySumNs_ += static_cast<double>(complete - issue) / 1e3;
-        chBytes_[ch_idx] += cfg_.burstBytes;
-        ++bursts;
-        if (row_hit) {
-            ++hits;
-        }
-        done = std::max(done, complete);
+        done = std::max(done, access(a, write, issue).completeTick);
     }
-
-    accesses_ += bursts;
-    cumAccesses_ += bursts;
-    rowHits_ += hits;
-    cumRowHits_ += hits;
-    const auto d_bursts = static_cast<double>(bursts);
-    const auto d_hits = static_cast<double>(hits);
-    if (write) {
-        bytesWritten_ += bursts * cfg_.burstBytes;
-        statWrites_ += d_bursts;
-    } else {
-        bytesRead_ += bursts * cfg_.burstBytes;
-        statReads_ += d_bursts;
-    }
-    statRowHits_ += d_hits;
-    statRowMisses_ += d_bursts - d_hits;
     return done;
-}
-
-void
-Dram::resetStats()
-{
-    bytesRead_ = 0;
-    bytesWritten_ = 0;
-    accesses_ = 0;
-    rowHits_ = 0;
-    latencySumNs_ = 0;
-    statReads_.reset();
-    statWrites_.reset();
-    statRowHits_.reset();
-    statRowMisses_.reset();
 }
 
 double
@@ -268,15 +173,8 @@ Dram::utilization(Tick window_start, Tick window_end) const
         return 0;
     }
     double secs = ticksToSeconds(window_end - window_start);
-    double bytes =
-        static_cast<double>(bytesRead_) + static_cast<double>(bytesWritten_);
+    double bytes = static_cast<double>(accesses() * cfg_.burstBytes);
     return (bytes / secs) / cfg_.peakBandwidth();
-}
-
-double
-Dram::avgLatencyNs() const
-{
-    return accesses_ ? latencySumNs_ / static_cast<double>(accesses_) : 0;
 }
 
 void

@@ -24,7 +24,7 @@
 #include <vector>
 
 #include "metrics/metrics.hh"
-#include "sim/sim_object.hh"
+#include "sim/event_queue.hh"
 #include "sim/types.hh"
 #include "trace/trace.hh"
 
@@ -80,11 +80,19 @@ struct DramResult
  * Thread-unsafe by design: the simulator is single-threaded and event
  * ordering is deterministic.
  */
-class Dram : public SimObject
+class Dram
 {
   public:
+    /**
+     * @p name and @p eq are unused: the model is schedule-synchronous
+     * and registers no named statistics. They stay so that every
+     * construction site, hostbench/driver.cc among them, is unchanged.
+     */
     Dram(const std::string &name, EventQueue &eq,
          const DramConfig &cfg = DramConfig());
+
+    Dram(const Dram &) = delete;
+    Dram &operator=(const Dram &) = delete;
 
     /** The configuration this model was built with. */
     const DramConfig &config() const { return cfg_; }
@@ -108,18 +116,15 @@ class Dram : public SimObject
      */
     Tick accessRange(Addr addr, Addr bytes, bool write, Tick issue);
 
-    /** Reset bandwidth/latency accounting (not bank state). */
-    void resetStats();
-
-    /** Bytes read since the last resetStats(). */
-    std::uint64_t bytesRead() const { return bytesRead_; }
-    /** Bytes written since the last resetStats(). */
-    std::uint64_t bytesWritten() const { return bytesWritten_; }
+    /** Bytes read since construction. */
+    std::uint64_t bytesRead() const { return reads_ * cfg_.burstBytes; }
+    /** Bytes written since construction. */
+    std::uint64_t bytesWritten() const { return writes_ * cfg_.burstBytes; }
     /** Bytes moved on channel @p ch since construction. */
     std::uint64_t channelBytes(unsigned ch) const { return chBytes_[ch]; }
-    /** Total accesses since the last resetStats(). */
-    std::uint64_t accesses() const { return accesses_; }
-    /** Row-buffer hits since the last resetStats(). */
+    /** Total accesses since construction. */
+    std::uint64_t accesses() const { return reads_ + writes_; }
+    /** Row-buffer hits since construction. */
     std::uint64_t rowHits() const { return rowHits_; }
 
     /**
@@ -127,9 +132,6 @@ class Dram : public SimObject
      * of the configured peak.
      */
     double utilization(Tick window_start, Tick window_end) const;
-
-    /** Mean access latency (issue to completion), ns. */
-    double avgLatencyNs() const;
 
     /**
      * Emit per-channel data-bus busy spans ("rd_burst"/"wr_burst" on
@@ -170,27 +172,17 @@ class Dram : public SimObject
     /**
      * Time-series registration with the ambient metrics recorder:
      * per-channel bandwidth utilization and queue depth, plus row-hit
-     * rate and the cumulative counters bridged from stats().
+     * rate and the read/write burst counts.
      */
     metrics::Group metrics_;
-    /** Cumulative bytes moved per channel (metrics never reset). */
-    std::vector<std::uint64_t> chBytes_;
-    /** Cumulative accesses/row-hits (unaffected by resetStats()). */
-    std::uint64_t cumAccesses_ = 0;
-    std::uint64_t cumRowHits_ = 0;
 
     Tick tRCD_, tCAS_, tRP_, tBURST_, tCtrl_;
 
-    std::uint64_t bytesRead_ = 0;
-    std::uint64_t bytesWritten_ = 0;
-    std::uint64_t accesses_ = 0;
+    /** Counters since construction, one per quantity. */
+    std::uint64_t reads_ = 0;
+    std::uint64_t writes_ = 0;
     std::uint64_t rowHits_ = 0;
-    double latencySumNs_ = 0;
-
-    stats::Scalar statReads_;
-    stats::Scalar statWrites_;
-    stats::Scalar statRowHits_;
-    stats::Scalar statRowMisses_;
+    std::vector<std::uint64_t> chBytes_;
 };
 
 } // namespace cereal

@@ -345,48 +345,6 @@ Group::ratio(const char *name, const char *help, CounterFn num,
 }
 
 void
-Group::gaugeFromStat(const stats::StatGroup &sg,
-                     const std::string &stat_name)
-{
-    if (rec_ == nullptr) {
-        return;
-    }
-    const stats::Entry *e = sg.find(stat_name);
-    panic_if(e == nullptr, "metrics: no stat '%s' in group '%s'",
-             stat_name.c_str(), sg.name().c_str());
-    GaugeFn fn;
-    switch (e->kind) {
-      case stats::Kind::Scalar: {
-        const auto *s = static_cast<const stats::Scalar *>(e->stat);
-        fn = [s](Tick) { return s->value(); };
-        break;
-      }
-      case stats::Kind::Average: {
-        const auto *a = static_cast<const stats::Average *>(e->stat);
-        fn = [a](Tick) { return a->mean(); };
-        break;
-      }
-      case stats::Kind::Histogram: {
-        const auto *h = static_cast<const stats::Histogram *>(e->stat);
-        fn = [h](Tick) { return h->mean(); };
-        break;
-      }
-      case stats::Kind::Distribution: {
-        const auto *d = static_cast<const stats::Distribution *>(e->stat);
-        fn = [d](Tick) { return d->p50(); };
-        break;
-      }
-      case stats::Kind::Formula: {
-        const auto *f = static_cast<const stats::Formula *>(e->stat);
-        fn = [f](Tick) { return f->value(); };
-        break;
-      }
-    }
-    ids_.push_back(rec_->addGauge(prefix_ + "." + stat_name, e->desc,
-                                  std::move(fn)));
-}
-
-void
 Group::tickSlow(Tick now)
 {
     rec_->tickSeries(ids_, now);

@@ -3,7 +3,7 @@
  * Cycle-driven time-series metrics layer.
  *
  * Traces (src/trace) answer "where did the cycles go" one event at a
- * time; aggregate stats (sim/stats) answer "how much in total". This
+ * time; components' counters answer "how much in total". This
  * layer answers the question in between: *what was the value at cycle
  * N* — DRAM bandwidth utilization, miss-window occupancy, SU busy
  * fraction, fabric queue depth — sampled on a fixed tick interval into
@@ -266,15 +266,6 @@ class Group
     /** Register delta(num)/delta(den) per interval (0 when den flat). */
     void ratio(const char *name, const char *help, CounterFn num,
                CounterFn den);
-
-    /**
-     * Register a gauge over the statistic @p stat_name of @p sg,
-     * resolved through stats::StatGroup::find(). Scalars and formulas
-     * sample their value, averages and histograms their mean,
-     * distributions their p50. Panics if the stat does not exist.
-     */
-    void gaugeFromStat(const stats::StatGroup &sg,
-                       const std::string &stat_name);
 
     /**
      * Sample every series of this group at each interval boundary in

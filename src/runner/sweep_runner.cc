@@ -1,11 +1,15 @@
 #include "runner/sweep_runner.hh"
 
+#include <algorithm>
+#include <atomic>
+#include <exception>
 #include <fstream>
 #include <iostream>
+#include <mutex>
 #include <sstream>
+#include <thread>
 
 #include "metrics/metrics.hh"
-#include "runner/thread_pool.hh"
 #include "sim/logging.hh"
 
 namespace cereal {
@@ -90,11 +94,36 @@ SweepRunner::run(unsigned threads)
         return;
     }
 
-    ThreadPool pool(threads);
-    for (std::size_t i = 0; i < points_.size(); ++i) {
-        pool.submit([&run_point, i] { run_point(i); });
+    // Every point is known up front, so workers just claim the next
+    // unstarted index; results land in registration-order slots. A
+    // point's exception is rethrown here, as on the serial path.
+    std::atomic<std::size_t> next{0};
+    std::mutex failure_mutex;
+    std::exception_ptr failure;
+    auto worker = [&] {
+        try {
+            for (std::size_t i = next++; i < points_.size(); i = next++) {
+                run_point(i);
+            }
+        } catch (...) {
+            std::lock_guard<std::mutex> lk(failure_mutex);
+            if (!failure) {
+                failure = std::current_exception();
+            }
+        }
+    };
+    {
+        // jthreads join when this block ends, however it ends.
+        std::vector<std::jthread> workers;
+        const std::size_t n = std::min<std::size_t>(threads, points_.size());
+        workers.reserve(n);
+        for (std::size_t t = 0; t < n; ++t) {
+            workers.emplace_back(worker);
+        }
     }
-    pool.wait();
+    if (failure) {
+        std::rethrow_exception(failure);
+    }
 }
 
 void

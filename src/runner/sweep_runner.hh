@@ -75,10 +75,11 @@ class SweepRunner
 
     /**
      * Execute every point. @p threads <= 1 runs serially on the
-     * calling thread (the reference behaviour); otherwise a
-     * work-stealing pool of @p threads workers runs the points
-     * concurrently. A point that panics/throws aborts the run with the
-     * point's name attached.
+     * calling thread (the reference behaviour); otherwise
+     * min(@p threads, points) threads each take the next unstarted
+     * point until none is left. A point that panics aborts the whole
+     * run; the first exception a point throws propagates from run()
+     * once every thread has stopped.
      *
      * May be called once per runner instance.
      */

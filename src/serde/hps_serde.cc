@@ -18,33 +18,6 @@ constexpr std::uint32_t kMagic = 0x31535048; // "HPS1"
 /** Region offset of the segment header (fixed stream header size). */
 constexpr std::size_t kRegionAt = 16;
 
-void
-charge(MemSink *sink, std::uint64_t ops)
-{
-    if (sink) {
-        sink->compute(ops);
-    }
-}
-
-void
-setPhase(MemSink *sink, const char *name)
-{
-    if (sink) {
-        sink->phase(name);
-    }
-}
-
-void
-chargeProbe(MemSink *sink, const HpsSerdeCosts &costs, Addr key)
-{
-    if (!sink) {
-        return;
-    }
-    sink->compute(costs.handleProbe);
-    Addr bucket = kScratchBase + (key * 0x9e3779b97f4a7c15ULL) % (1 << 22);
-    sink->load(roundDown(bucket, 8), 8);
-}
-
 std::uint64_t
 encodeRef(std::uint64_t rel)
 {
@@ -143,7 +116,7 @@ HpsSerializer::serialize(Heap &src, Addr root, MemSink *sink)
 
     auto ref_rel = [&](Addr obj) -> std::uint64_t {
         panic_if(obj == 0, "ref_rel(null)");
-        chargeProbe(sink, costs_, obj);
+        chargeProbe(sink, costs_.handleProbe, obj);
         std::uint32_t &e = handles[obj];
         if (e != 0) {
             return rels[e - 1];

@@ -54,35 +54,17 @@ typeFromChar(char c, FieldType &out)
     return false;
 }
 
-void
-charge(MemSink *sink, std::uint64_t ops)
-{
-    if (sink) {
-        sink->compute(ops);
-    }
-}
-
-/** Phase annotation for time attribution (no-op on null sinks). */
-void
-setPhase(MemSink *sink, const char *name)
-{
-    if (sink) {
-        sink->phase(name);
-    }
-}
-
 /** Model an identity-hash-map probe in scratch memory. */
 void
-chargeProbe(MemSink *sink, const JavaSerdeCosts &costs, Addr key)
+chargeMapProbe(MemSink *sink, const JavaSerdeCosts &costs, Addr key)
 {
     if (!sink) {
         return;
     }
     sink->compute(costs.handleProbe);
     // Bucket read + entry read, scattered over a table.
-    Addr bucket = kScratchBase + (key * 0x9e3779b97f4a7c15ULL) % (1 << 22);
-    sink->load(roundDown(bucket, 8), 8);
-    sink->load(roundDown(bucket, 8) + 8, 8);
+    sink->load(probeBucket(key), 8);
+    sink->load(probeBucket(key) + 8, 8);
 }
 
 } // namespace
@@ -104,7 +86,7 @@ JavaSerializer::serialize(Heap &src, Addr root, MemSink *sink)
         if (obj == 0) {
             return kNullHandle;
         }
-        chargeProbe(sink, costs_, obj);
+        chargeMapProbe(sink, costs_, obj);
         std::uint32_t &e = handles[obj];
         if (e != 0) {
             return e - 1;
@@ -247,7 +229,7 @@ JavaSerializer::deserialize(const std::vector<std::uint8_t> &stream,
         // registry — the string work the paper calls out as Java S/D's
         // bottleneck.
         charge(sink, 2 * costs_.stringOpPerByte * cls_name.size());
-        chargeProbe(sink, costs_, cls_name.size());
+        chargeMapProbe(sink, costs_, cls_name.size());
         bool is_array = r.u8() != 0;
         KlassId id;
         if (is_array) {

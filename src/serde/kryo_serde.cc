@@ -15,33 +15,6 @@ namespace {
 constexpr std::uint32_t kMagic = 0x4b52594f; // "KRYO"
 constexpr std::uint64_t kNullRef = 0;
 
-void
-charge(MemSink *sink, std::uint64_t ops)
-{
-    if (sink) {
-        sink->compute(ops);
-    }
-}
-
-void
-setPhase(MemSink *sink, const char *name)
-{
-    if (sink) {
-        sink->phase(name);
-    }
-}
-
-void
-chargeProbe(MemSink *sink, const KryoSerdeCosts &costs, Addr key)
-{
-    if (!sink) {
-        return;
-    }
-    sink->compute(costs.handleProbe);
-    Addr bucket = kScratchBase + (key * 0x9e3779b97f4a7c15ULL) % (1 << 22);
-    sink->load(roundDown(bucket, 8), 8);
-}
-
 /** Zig-zag a signed 64-bit slot so small negatives stay short. */
 std::uint64_t
 zigzag(std::uint64_t raw)
@@ -103,7 +76,7 @@ KryoSerializer::serialize(Heap &src, Addr root, MemSink *sink)
         if (obj == 0) {
             return kNullRef;
         }
-        chargeProbe(sink, costs_, obj);
+        chargeProbe(sink, costs_.handleProbe, obj);
         std::uint32_t &e = handles[obj];
         if (e == 0) {
             e = ObjectTable::entry(next_handle++);

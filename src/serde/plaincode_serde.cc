@@ -21,7 +21,7 @@ constexpr std::uint64_t kNullRef = 0;
  * core model charges them at cpiStraightLine rather than cpiBase.
  */
 void
-charge(MemSink *sink, std::uint64_t ops)
+chargeStreamlined(MemSink *sink, std::uint64_t ops)
 {
     if (sink) {
         sink->computeStreamlined(ops);
@@ -29,22 +29,14 @@ charge(MemSink *sink, std::uint64_t ops)
 }
 
 void
-setPhase(MemSink *sink, const char *name)
-{
-    if (sink) {
-        sink->phase(name);
-    }
-}
-
-void
-chargeProbe(MemSink *sink, const PlaincodeSerdeCosts &costs, Addr key)
+chargeProbeStreamlined(MemSink *sink, const PlaincodeSerdeCosts &costs,
+                       Addr key)
 {
     if (!sink) {
         return;
     }
     sink->computeStreamlined(costs.handleProbe);
-    Addr bucket = kScratchBase + (key * 0x9e3779b97f4a7c15ULL) % (1 << 22);
-    sink->load(roundDown(bucket, 8), 8);
+    sink->load(probeBucket(key), 8);
 }
 
 } // namespace
@@ -64,7 +56,7 @@ PlaincodeSerializer::serialize(Heap &src, Addr root, MemSink *sink)
         if (obj == 0) {
             return kNullRef;
         }
-        chargeProbe(sink, costs_, obj);
+        chargeProbeStreamlined(sink, costs_, obj);
         std::uint32_t &e = handles[obj];
         if (e == 0) {
             e = ObjectTable::entry(next_handle++);
@@ -83,7 +75,7 @@ PlaincodeSerializer::serialize(Heap &src, Addr root, MemSink *sink)
         if (sink) {
             sink->loadDep(obj, 16); // header: resolve class (pointer chase)
         }
-        charge(sink, costs_.perObject);
+        chargeStreamlined(sink, costs_.perObject);
 
         ObjectView v(src, obj);
         const auto &d = v.klass();
@@ -100,7 +92,7 @@ PlaincodeSerializer::serialize(Heap &src, Addr root, MemSink *sink)
                     if (sink) {
                         sink->load(v.elemAddr(i), 8);
                     }
-                    charge(sink, costs_.fieldGet);
+                    chargeStreamlined(sink, costs_.fieldGet);
                     w.varint(ref_token(v.getRefElem(i)));
                 }
             } else {
@@ -129,7 +121,7 @@ PlaincodeSerializer::serialize(Heap &src, Addr root, MemSink *sink)
         setPhase(sink, "copy");
         for (std::uint32_t i = 0; i < d.numFields(); ++i) {
             const auto &f = d.fields()[i];
-            charge(sink, costs_.fieldGet);
+            chargeStreamlined(sink, costs_.fieldGet);
             if (sink) {
                 sink->load(v.fieldAddr(i), 8);
             }
@@ -159,7 +151,7 @@ PlaincodeSerializer::deserialize(const std::vector<std::uint8_t> &stream,
 
     while (!r.done()) {
         setPhase(sink, "walk");
-        charge(sink, costs_.perObject);
+        chargeStreamlined(sink, costs_.perObject);
         std::size_t id_at = r.pos();
         std::uint64_t id64 = r.varint();
         decode_check(id64 < dst.registry().size(), DecodeStatus::BadClass,
@@ -185,7 +177,7 @@ PlaincodeSerializer::deserialize(const std::vector<std::uint8_t> &stream,
                          "array length %llu exceeds remaining stream",
                          (unsigned long long)n);
             setPhase(sink, "copy");
-            charge(sink, costs_.alloc);
+            chargeStreamlined(sink, costs_.alloc);
             Addr obj = dst.allocateArray(d.elemType(), n);
             if (sink) {
                 sink->store(obj, 24);
@@ -194,7 +186,7 @@ PlaincodeSerializer::deserialize(const std::vector<std::uint8_t> &stream,
             if (d.elemType() == FieldType::Reference) {
                 // Tokens stay in their slots until the resolve pass.
                 for (std::uint64_t i = 0; i < n; ++i) {
-                    charge(sink, costs_.fieldSet);
+                    chargeStreamlined(sink, costs_.fieldSet);
                     v.setRefElem(i, r.varint());
                 }
             } else {
@@ -216,7 +208,7 @@ PlaincodeSerializer::deserialize(const std::vector<std::uint8_t> &stream,
         // Field slots are mandatory at their schema-fixed widths, so
         // the whole record either fits or the stream is truncated.
         setPhase(sink, "copy");
-        charge(sink, costs_.alloc);
+        chargeStreamlined(sink, costs_.alloc);
         Addr obj = dst.allocateInstance(id);
         if (sink) {
             sink->store(obj, 16);
@@ -224,7 +216,7 @@ PlaincodeSerializer::deserialize(const std::vector<std::uint8_t> &stream,
         ObjectView v(dst, obj);
         for (std::uint32_t i = 0; i < d.numFields(); ++i) {
             const auto &f = d.fields()[i];
-            charge(sink, costs_.fieldSet);
+            chargeStreamlined(sink, costs_.fieldSet);
             if (f.type == FieldType::Reference) {
                 v.setRef(i, r.varint());
             } else {
@@ -241,7 +233,7 @@ PlaincodeSerializer::deserialize(const std::vector<std::uint8_t> &stream,
     const std::size_t decoded = dst.objectCount() - first;
     setPhase(sink, "patch");
     forEachRefSlot(dst, first, [&](Addr at) {
-        charge(sink, 2);
+        chargeStreamlined(sink, 2);
         const std::uint64_t token = dst.load64(at);
         Addr target = 0;
         if (token != kNullRef) {

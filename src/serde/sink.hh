@@ -80,6 +80,49 @@ class MemSink
     virtual void phase(const char *name) { (void)name; }
 };
 
+// Narration helpers shared by the software serializers: each takes the
+// sink a serializer was handed, which is null on functional-only runs.
+
+/** Narrate @p ops units of compute. */
+inline void
+charge(MemSink *sink, std::uint64_t ops)
+{
+    if (sink) {
+        sink->compute(ops);
+    }
+}
+
+/** Narrate a phase change (MemSink::phase). */
+inline void
+setPhase(MemSink *sink, const char *name)
+{
+    if (sink) {
+        sink->phase(name);
+    }
+}
+
+/**
+ * The 8 B-aligned bucket that object @p key hashes to in a serializer's
+ * visited-object table, a 4 MiB region at kScratchBase.
+ */
+inline Addr
+probeBucket(Addr key)
+{
+    return roundDown(
+        kScratchBase + (key * 0x9e3779b97f4a7c15ULL) % (1 << 22), 8);
+}
+
+/** Narrate one visited-table probe: @p ops of hashing, one bucket load. */
+inline void
+chargeProbe(MemSink *sink, std::uint64_t ops, Addr key)
+{
+    if (!sink) {
+        return;
+    }
+    sink->compute(ops);
+    sink->load(probeBucket(key), 8);
+}
+
 /** Sink that ignores everything (functional-only runs). */
 class NullSink : public MemSink
 {

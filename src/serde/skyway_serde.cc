@@ -15,33 +15,6 @@ namespace {
 
 constexpr std::uint32_t kMagic = 0x534b5957; // "SKYW"
 
-void
-charge(MemSink *sink, std::uint64_t ops)
-{
-    if (sink) {
-        sink->compute(ops);
-    }
-}
-
-void
-setPhase(MemSink *sink, const char *name)
-{
-    if (sink) {
-        sink->phase(name);
-    }
-}
-
-void
-chargeProbe(MemSink *sink, const SkywaySerdeCosts &costs, Addr key)
-{
-    if (!sink) {
-        return;
-    }
-    sink->compute(costs.handleProbe);
-    Addr bucket = kScratchBase + (key * 0x9e3779b97f4a7c15ULL) % (1 << 22);
-    sink->load(roundDown(bucket, 8), 8);
-}
-
 /** Encode a reference slot: null stays 0, else tagged relative offset. */
 std::uint64_t
 encodeRef(std::uint64_t rel)
@@ -68,7 +41,7 @@ SkywaySerializer::serialize(Heap &src, Addr root, MemSink *sink)
 
     auto ref_rel = [&](Addr obj) -> std::uint64_t {
         panic_if(obj == 0, "ref_rel(null)");
-        chargeProbe(sink, costs_, obj);
+        chargeProbe(sink, costs_.handleProbe, obj);
         std::uint32_t &e = rel_of[obj];
         if (e != 0) {
             return std::uint64_t{e - 1} * 8;

@@ -1,148 +1,22 @@
 /**
  * @file
- * A small statistics package in the spirit of gem5's Stats.
+ * Latency populations: exact order statistics over recorded samples.
  *
- * Hardware model components own typed statistics (scalars, averages,
- * histograms) registered into a StatGroup. Benchmark harnesses read the
- * values programmatically; dump() renders a human-readable report.
+ * Model components keep plain integer counters; a Distribution is for
+ * the populations a result reports by percentile (request latencies),
+ * and logBucketBounds() is the ladder every exported histogram shares.
  */
 
 #ifndef CEREAL_SIM_STATS_HH
 #define CEREAL_SIM_STATS_HH
 
+#include <algorithm>
 #include <cstdint>
-#include <functional>
-#include <limits>
-#include <ostream>
-#include <string>
 #include <utility>
 #include <vector>
 
 namespace cereal {
-namespace json {
-class Writer;
-} // namespace json
-} // namespace cereal
-
-namespace cereal {
 namespace stats {
-
-/** A named, monotonically adjustable scalar statistic. */
-class Scalar
-{
-  public:
-    Scalar() = default;
-
-    Scalar &operator+=(double v) { value_ += v; return *this; }
-    Scalar &operator-=(double v) { value_ -= v; return *this; }
-    Scalar &operator++() { value_ += 1; return *this; }
-    void set(double v) { value_ = v; }
-    void reset() { value_ = 0; }
-    double value() const { return value_; }
-
-  private:
-    double value_ = 0;
-};
-
-/** Mean/min/max over a stream of samples. */
-class Average
-{
-  public:
-    Average() = default;
-
-    /** Record one sample. */
-    void
-    sample(double v)
-    {
-        sum_ += v;
-        ++count_;
-        if (v < min_) {
-            min_ = v;
-        }
-        if (v > max_) {
-            max_ = v;
-        }
-    }
-
-    /**
-     * Forget every sample. The min/max extremes are re-armed to the
-     * infinity sentinels, so the first post-reset sample establishes
-     * both — stale extremes cannot leak across a reset.
-     */
-    void
-    reset()
-    {
-        sum_ = 0;
-        count_ = 0;
-        min_ = kMinSentinel;
-        max_ = kMaxSentinel;
-    }
-
-    double mean() const { return count_ ? sum_ / count_ : 0; }
-    double sum() const { return sum_; }
-    /** Smallest sample (0 while empty, for schema-stable reports). */
-    double min() const { return count_ ? min_ : 0; }
-    /** Largest sample (0 while empty, for schema-stable reports). */
-    double max() const { return count_ ? max_ : 0; }
-    std::uint64_t count() const { return count_; }
-
-  private:
-    static constexpr double kMinSentinel =
-        std::numeric_limits<double>::infinity();
-    static constexpr double kMaxSentinel =
-        -std::numeric_limits<double>::infinity();
-
-    double sum_ = 0;
-    std::uint64_t count_ = 0;
-    double min_ = kMinSentinel;
-    double max_ = kMaxSentinel;
-};
-
-/** Fixed-bucket histogram over [0, bucketWidth * numBuckets). */
-class Histogram
-{
-  public:
-    /** @param num_buckets bucket count; @param width bucket width. */
-    Histogram(std::size_t num_buckets = 16, double width = 1.0)
-        : buckets_(num_buckets, 0), width_(width)
-    {
-    }
-
-    /** Record one sample; values past the last bucket go to overflow. */
-    void
-    sample(double v)
-    {
-        avg_.sample(v);
-        auto idx = static_cast<std::size_t>(v / width_);
-        if (idx >= buckets_.size()) {
-            ++overflow_;
-        } else {
-            ++buckets_[idx];
-        }
-    }
-
-    void
-    reset()
-    {
-        for (auto &b : buckets_) {
-            b = 0;
-        }
-        overflow_ = 0;
-        avg_.reset();
-    }
-
-    const std::vector<std::uint64_t> &buckets() const { return buckets_; }
-    std::uint64_t overflow() const { return overflow_; }
-    double mean() const { return avg_.mean(); }
-    std::uint64_t count() const { return avg_.count() ; }
-    double bucketWidth() const { return width_; }
-
-  private:
-    std::vector<std::uint64_t> buckets_;
-    double width_;
-    std::uint64_t overflow_ = 0;
-    Average avg_;
-};
 
 /**
  * Percentile summary over a stream of samples.
@@ -164,9 +38,17 @@ class Distribution
     void
     sample(double v)
     {
+        // min/max are set from the first sample, so an empty population
+        // reads 0 for both; the sum runs in sample order.
+        if (samples_.empty()) {
+            min_ = max_ = v;
+        } else {
+            min_ = std::min(min_, v);
+            max_ = std::max(max_, v);
+        }
         samples_.push_back(v);
         sorted_ = false;
-        avg_.sample(v);
+        sum_ += v;
     }
 
     /**
@@ -188,14 +70,6 @@ class Distribution
 
     /** Pre-size the sample store for a known population size. */
     void reserve(std::size_t n) { samples_.reserve(n); }
-
-    void
-    reset()
-    {
-        samples_.clear();
-        sorted_ = false;
-        avg_.reset();
-    }
 
     /**
      * Nearest-rank percentile, @p p in [0, 100]. Returns 0 when the
@@ -232,19 +106,26 @@ class Distribution
     double p99() const { return quantile(0.99); }
     /** Tail percentile for serving SLOs; needs n >= 1000 to resolve. */
     double p999() const { return quantile(0.999); }
-    double mean() const { return avg_.mean(); }
-    double min() const { return avg_.min(); }
-    double max() const { return avg_.max(); }
-    double sum() const { return avg_.sum(); }
-    std::uint64_t count() const { return avg_.count(); }
+    double mean() const { return count() ? sum_ / count() : 0; }
+    /** Smallest sample (0 while empty, for schema-stable reports). */
+    double min() const { return min_; }
+    /** Largest sample (0 while empty, for schema-stable reports). */
+    double max() const { return max_; }
+    double sum() const { return sum_; }
+    std::uint64_t count() const { return samples_.size(); }
 
   private:
+    /** Sort the samples once per batch of new ones. */
+    void sortSamples() const;
+
     // percentile() sorts lazily; logical state is unchanged.
     mutable std::vector<double> samples_;
     mutable bool sorted_ = false;
     mutable std::vector<std::pair<double, std::uint64_t>> exemplars_;
     mutable bool exSorted_ = false;
-    Average avg_;
+    double sum_ = 0;
+    double min_ = 0;
+    double max_ = 0;
 };
 
 /**
@@ -254,114 +135,6 @@ class Distribution
  * across runs, backends, and scales.
  */
 const std::vector<double> &logBucketBounds();
-
-/**
- * A derived statistic: a closure over other statistics, evaluated
- * lazily at dump time (ratios, rates, utilisations).
- */
-class Formula
-{
-  public:
-    Formula() = default;
-
-    /** Install the expression; closed-over stats must outlive it. */
-    explicit Formula(std::function<double()> fn) : fn_(std::move(fn)) {}
-
-    void set(std::function<double()> fn) { fn_ = std::move(fn); }
-    double value() const { return fn_ ? fn_() : 0; }
-
-  private:
-    std::function<double()> fn_;
-};
-
-/** Kind discriminator for registered statistics. */
-enum class Kind { Scalar, Average, Histogram, Distribution, Formula };
-
-/** One registration record inside a StatGroup. */
-struct Entry
-{
-    std::string name;
-    std::string desc;
-    Kind kind;
-    const void *stat;
-};
-
-/**
- * A named collection of statistics owned by one model component.
- *
- * Components register member statistics once at construction; the group
- * does not own the statistic objects, only pointers, so the registering
- * component must outlive the group's use.
- *
- * Stat names are unique within a group: registering a duplicate is a
- * hard error (a silently shadowed stat is exactly the kind of bug a
- * measurement layer must not have — the metrics registry resolves
- * stats by name through find()).
- */
-class StatGroup
-{
-  public:
-    explicit StatGroup(std::string name) : name_(std::move(name)) {}
-
-    void
-    add(const std::string &stat_name, const std::string &desc,
-        const Scalar &s)
-    {
-        addEntry({stat_name, desc, Kind::Scalar, &s});
-    }
-
-    void
-    add(const std::string &stat_name, const std::string &desc,
-        const Average &a)
-    {
-        addEntry({stat_name, desc, Kind::Average, &a});
-    }
-
-    void
-    add(const std::string &stat_name, const std::string &desc,
-        const Histogram &h)
-    {
-        addEntry({stat_name, desc, Kind::Histogram, &h});
-    }
-
-    void
-    add(const std::string &stat_name, const std::string &desc,
-        const Distribution &d)
-    {
-        addEntry({stat_name, desc, Kind::Distribution, &d});
-    }
-
-    void
-    add(const std::string &stat_name, const std::string &desc,
-        const Formula &f)
-    {
-        addEntry({stat_name, desc, Kind::Formula, &f});
-    }
-
-    /** The entry registered as @p stat_name, or nullptr. */
-    const Entry *find(const std::string &stat_name) const;
-
-    /** Render all registered statistics to @p os. */
-    void dump(std::ostream &os) const;
-
-    /**
-     * Emit the group as one JSON object member: the group name keys an
-     * object holding one member per statistic. The writer must be
-     * positioned inside an object; output is schema-stable (fixed
-     * member set per kind, registration order).
-     */
-    void dumpJson(json::Writer &w) const;
-
-    const std::string &name() const { return name_; }
-    const std::vector<Entry> &entries() const { return entries_; }
-
-  private:
-    /** Append @p e; panics if the name is already registered. */
-    void addEntry(Entry e);
-
-    std::string name_;
-    std::vector<Entry> entries_;
-};
 
 } // namespace stats
 } // namespace cereal

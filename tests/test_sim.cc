@@ -1,15 +1,14 @@
 /**
  * @file
  * Unit tests for the simulation kernel: event queue ordering, clock
- * domains, deterministic RNG, and the stats package.
+ * domains, deterministic RNG, and latency distributions.
  */
 
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <vector>
 
 #include "sim/event_queue.hh"
-#include "sim/json.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -354,86 +353,23 @@ TEST(Rng, UniformIsRoughlyUniform)
     EXPECT_NEAR(sum / n, 0.5, 0.01);
 }
 
-TEST(Stats, ScalarArithmetic)
+TEST(Stats, DistributionEmptyReadsZeroAndSumsInSampleOrder)
 {
-    stats::Scalar s;
-    s += 5;
-    ++s;
-    s -= 2;
-    EXPECT_DOUBLE_EQ(s.value(), 4.0);
-    s.reset();
-    EXPECT_DOUBLE_EQ(s.value(), 0.0);
-}
-
-TEST(Stats, AverageTracksMinMaxMean)
-{
-    stats::Average a;
-    a.sample(10);
-    a.sample(20);
-    a.sample(30);
-    EXPECT_DOUBLE_EQ(a.mean(), 20.0);
-    EXPECT_DOUBLE_EQ(a.min(), 10.0);
-    EXPECT_DOUBLE_EQ(a.max(), 30.0);
-    EXPECT_EQ(a.count(), 3u);
-}
-
-TEST(Stats, AverageResetClearsMinMaxExtremes)
-{
-    // Regression: reset() once left the old min/max behind, so samples
-    // after a reset could never narrow the reported range.
-    stats::Average a;
-    a.sample(1);
-    a.sample(1000);
-    a.reset();
-    EXPECT_EQ(a.count(), 0u);
-    EXPECT_DOUBLE_EQ(a.min(), 0.0);
-    EXPECT_DOUBLE_EQ(a.max(), 0.0);
-    a.sample(50);
-    a.sample(60);
-    EXPECT_DOUBLE_EQ(a.min(), 50.0);
-    EXPECT_DOUBLE_EQ(a.max(), 60.0);
-    EXPECT_DOUBLE_EQ(a.mean(), 55.0);
-}
-
-TEST(Stats, GroupRejectsDuplicateStatNames)
-{
-    stats::StatGroup g("dev");
-    stats::Scalar a, b;
-    g.add("reads", "first registration", a);
-    EXPECT_DEATH(g.add("reads", "silently shadowing", b),
-                 "already has a stat named 'reads'");
-}
-
-TEST(Stats, GroupFindResolvesByName)
-{
-    stats::StatGroup g("dev");
-    stats::Scalar reads;
-    stats::Average lat;
-    g.add("reads", "read count", reads);
-    g.add("lat", "latency", lat);
-
-    const stats::Entry *e = g.find("reads");
-    ASSERT_NE(e, nullptr);
-    EXPECT_EQ(e->kind, stats::Kind::Scalar);
-    EXPECT_EQ(e->stat, &reads);
-    ASSERT_NE(g.find("lat"), nullptr);
-    EXPECT_EQ(g.find("lat")->kind, stats::Kind::Average);
-    EXPECT_EQ(g.find("writes"), nullptr);
-}
-
-TEST(Stats, HistogramBucketsAndOverflow)
-{
-    stats::Histogram h(4, 10.0);
-    h.sample(5);
-    h.sample(15);
-    h.sample(15);
-    h.sample(39);
-    h.sample(100);
-    EXPECT_EQ(h.buckets()[0], 1u);
-    EXPECT_EQ(h.buckets()[1], 2u);
-    EXPECT_EQ(h.buckets()[3], 1u);
-    EXPECT_EQ(h.overflow(), 1u);
-    EXPECT_EQ(h.count(), 5u);
+    stats::Distribution d;
+    EXPECT_EQ(d.count(), 0u);
+    EXPECT_DOUBLE_EQ(d.min(), 0.0);
+    EXPECT_DOUBLE_EQ(d.max(), 0.0);
+    EXPECT_DOUBLE_EQ(d.mean(), 0.0);
+    EXPECT_DOUBLE_EQ(d.p99(), 0.0);
+    // Reported means are summed in sample order, not sorted order:
+    // (2^53 + 1) + 1 rounds each 1 away, (1 + 1) + 2^53 keeps both.
+    for (double v : {0x1p53, 1.0, 1.0}) {
+        d.sample(v);
+    }
+    EXPECT_EQ(d.sum(), 0x1p53);
+    EXPECT_EQ((1.0 + 1.0) + 0x1p53, 0x1p53 + 2);
+    EXPECT_DOUBLE_EQ(d.min(), 1.0);
+    EXPECT_DOUBLE_EQ(d.max(), 0x1p53);
 }
 
 TEST(Stats, DistributionExactPercentiles)
@@ -463,9 +399,6 @@ TEST(Stats, DistributionResortsAfterNewSamples)
     d.sample(1); // invalidates the cached sort
     EXPECT_DOUBLE_EQ(d.p50(), 10.0); // rank 2 of 3
     EXPECT_DOUBLE_EQ(d.p99(), 20.0);
-    d.reset();
-    EXPECT_EQ(d.count(), 0u);
-    EXPECT_DOUBLE_EQ(d.p99(), 0.0);
 }
 
 TEST(Stats, DistributionSingleSample)
@@ -526,43 +459,6 @@ TEST(Stats, DistributionP999NeedsAThousandSamplesToResolve)
     d.sample(1000);
     EXPECT_DOUBLE_EQ(d.p999(), 999.0); // now one below max
     EXPECT_DOUBLE_EQ(d.max(), 1000.0);
-}
-
-TEST(Stats, DistributionInGroupDump)
-{
-    stats::StatGroup g("net");
-    stats::Distribution lat;
-    lat.sample(1);
-    lat.sample(2);
-    lat.sample(3);
-    g.add("latency", "request latency", lat);
-    std::ostringstream os;
-    g.dump(os);
-    EXPECT_NE(os.str().find("net.latency"), std::string::npos);
-    EXPECT_NE(os.str().find("p99="), std::string::npos);
-
-    std::ostringstream js;
-    json::Writer w(js, 0);
-    w.beginObject();
-    g.dumpJson(w);
-    w.endObject();
-    EXPECT_TRUE(w.balanced());
-    EXPECT_NE(js.str().find("\"kind\":\"distribution\""),
-              std::string::npos);
-    EXPECT_NE(js.str().find("\"p95\":"), std::string::npos);
-    EXPECT_NE(js.str().find("\"p999\":"), std::string::npos);
-}
-
-TEST(Stats, GroupDumpContainsNames)
-{
-    stats::StatGroup g("dram");
-    stats::Scalar reads;
-    reads += 3;
-    g.add("reads", "read count", reads);
-    std::ostringstream os;
-    g.dump(os);
-    EXPECT_NE(os.str().find("dram.reads"), std::string::npos);
-    EXPECT_NE(os.str().find("read count"), std::string::npos);
 }
 
 } // namespace

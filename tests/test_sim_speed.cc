@@ -14,14 +14,12 @@
  *    packer's outputs are not grown by doubling, and that
  *    deserialization keeps no side table per reference or, in the
  *    DU, per output block.
- *  - Dram::accessRange batched fast path vs the per-burst access()
- *    loop: identical completion ticks, counters, latency accounting,
- *    and bank/bus state.
  *  - The observer effect, differentially: every stat an unobserved
  *    run reports must come back bit-identical from a run with a trace
- *    sink and a metrics recorder installed, at the harness level
- *    (measureSoftware / measureCereal) and the cluster level
- *    (runShuffle / runServingFrontend).
+ *    sink and a metrics recorder installed, at the DRAM level (ticks,
+ *    row-hit flags, counters, and the sampled burst counts), the
+ *    harness level (measureSoftware / measureCereal) and the cluster
+ *    level (runShuffle / runServingFrontend).
  */
 
 #include <gtest/gtest.h>
@@ -32,6 +30,7 @@
 #include <cstring>
 #include <deque>
 #include <new>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -509,36 +508,31 @@ TEST(DecodeHotPath, DuKeepsNoPlanPerOutputBlock)
         << large_bytes << " B for " << large_blocks << " output blocks";
 }
 
-// --------------------------------------------- DRAM batched ticking
+// ------------------------------------------------ DRAM observer effect
 
-/** Drive @p mem over [addr, addr+bytes) one burst at a time. */
-Tick
-perBurstRange(Dram &mem, const DramConfig &cfg, Addr addr, Addr bytes,
-              bool write, Tick issue)
+/** What one DRAM op stream reports: ticks, row-hit flags, counters. */
+struct DramOutcome
 {
-    if (bytes == 0) {
-        return issue;
-    }
-    Tick done = issue;
-    Addr first = addr / cfg.burstBytes * cfg.burstBytes;
-    Addr last = (addr + bytes - 1) / cfg.burstBytes * cfg.burstBytes;
-    for (Addr a = first; a <= last; a += cfg.burstBytes) {
-        done = std::max(done, mem.access(a, write, issue).completeTick);
-    }
-    return done;
-}
+    std::vector<Tick> ticks;
+    std::vector<bool> rowHits;
+    std::uint64_t reads = 0;
+    std::uint64_t writes = 0;
+    std::uint64_t hits = 0;
+    std::vector<std::uint64_t> chBytes;
+};
 
-TEST(DramBatch, AccessRangeMatchesPerBurstLoopExactly)
+/**
+ * Drive a fresh Dram, traced on track "dram" when a trace sink is
+ * installed and sampled when a metrics recorder is, through ranges and
+ * single bursts.
+ */
+DramOutcome
+driveDram()
 {
-    // Two identically configured instances, one driven through the
-    // batched accessRange fast path and one through the per-burst
-    // access() loop. Completion ticks, every counter, the
-    // double-accumulated latency sum, and the bank/bus state (probed
-    // via a follow-up access) must be bit-identical.
     DramConfig cfg;
-    EventQueue eqa, eqb;
-    Dram a("a", eqa, cfg);
-    Dram b("b", eqb, cfg);
+    EventQueue eq;
+    Dram mem("dram", eq, cfg);
+    mem.setTrace(trace::current().sub("dram"));
 
     struct Op
     {
@@ -554,37 +548,84 @@ TEST(DramBatch, AccessRangeMatchesPerBurstLoopExactly)
         {40 * 8192 + 7, 8192, true},   {123, 0, false},
         {5 << 20, 64, false},
     };
-
-    Tick ta = 0, tb = 0;
+    DramOutcome out;
+    Tick t = 0;
     for (const Op &op : ops) {
-        ta = a.accessRange(op.addr, op.bytes, op.write, ta);
-        tb = perBurstRange(b, cfg, op.addr, op.bytes, op.write, tb);
-        ASSERT_EQ(ta, tb);
-        ASSERT_EQ(a.accesses(), b.accesses());
-        ASSERT_EQ(a.rowHits(), b.rowHits());
-        ASSERT_EQ(a.bytesRead(), b.bytesRead());
-        ASSERT_EQ(a.bytesWritten(), b.bytesWritten());
-        // Exact double equality: the fast path must accumulate the
-        // latency sum in the same order as the per-burst loop.
-        ASSERT_EQ(a.avgLatencyNs(), b.avgLatencyNs());
+        t = mem.accessRange(op.addr, op.bytes, op.write, t);
+        out.ticks.push_back(t);
+    }
+    // Single bursts: a row hit, a row conflict, a write, and a last
+    // read issued two sampling intervals on, so that the metrics sample
+    // the final counts.
+    const std::vector<Op> bursts = {
+        {4096, 0, false}, {7 << 20, 0, false}, {4096 + 64, 0, true},
+        {4096, 0, false},
+    };
+    for (std::size_t i = 0; i < bursts.size(); ++i) {
+        if (i + 1 == bursts.size()) {
+            t += 2 * metrics::MetricsRecorder::kDefaultInterval;
+        }
+        const DramResult r = mem.access(bursts[i].addr, bursts[i].write, t);
+        out.ticks.push_back(r.completeTick);
+        out.rowHits.push_back(r.rowHit);
+        t = r.completeTick;
     }
 
-    // Registered stats match too.
-    for (const char *name : {"reads", "writes", "rowHits", "rowMisses"}) {
-        const auto *ea = a.stats().find(name);
-        const auto *eb = b.stats().find(name);
-        ASSERT_NE(ea, nullptr);
-        ASSERT_NE(eb, nullptr);
-        EXPECT_EQ(static_cast<const stats::Scalar *>(ea->stat)->value(),
-                  static_cast<const stats::Scalar *>(eb->stat)->value())
-            << name;
+    out.reads = mem.bytesRead() / cfg.burstBytes;
+    out.writes = mem.bytesWritten() / cfg.burstBytes;
+    out.hits = mem.rowHits();
+    for (unsigned ch = 0; ch < cfg.numChannels; ++ch) {
+        out.chBytes.push_back(mem.channelBytes(ch));
     }
+    return out;
+}
 
-    // Bank and bus state: the next access must see identical timing.
-    auto ra = a.access(4096, false, ta + 100);
-    auto rb = b.access(4096, false, tb + 100);
-    EXPECT_EQ(ra.completeTick, rb.completeTick);
-    EXPECT_EQ(ra.rowHit, rb.rowHit);
+/** Last sampled value of series @p name in @p rec. */
+double
+lastValue(const metrics::MetricsRecorder &rec, const std::string &name)
+{
+    for (const metrics::Series &s : rec.series()) {
+        if (s.name() == name) {
+            EXPECT_GT(s.sampleCount(), 0u) << name;
+            return s.sampleCount() ? s.last().value : -1;
+        }
+    }
+    ADD_FAILURE() << "no series " << name;
+    return -1;
+}
+
+TEST(DramObserver, TraceAndMetricsLeaveTimingAndCountsUnchanged)
+{
+    // The one DRAM path runs with and without a trace sink and a
+    // metrics recorder installed: every completion tick, row-hit flag
+    // and counter must match, and the sampled burst counts must end on
+    // the Dram's own counters.
+    const DramOutcome plain = driveDram();
+
+    trace::ChromeTraceSink sink;
+    metrics::MetricsRecorder rec;
+    DramOutcome seen;
+    {
+        trace::ScopedTrace scoped_trace(sink);
+        metrics::ScopedMetrics scoped_metrics(rec);
+        seen = driveDram();
+    }
+    ASSERT_FALSE(sink.events().empty());
+    ASSERT_FALSE(rec.series().empty());
+
+    EXPECT_EQ(plain.ticks, seen.ticks);
+    EXPECT_EQ(plain.rowHits, seen.rowHits);
+    EXPECT_EQ(plain.reads, seen.reads);
+    EXPECT_EQ(plain.writes, seen.writes);
+    EXPECT_EQ(plain.hits, seen.hits);
+    EXPECT_EQ(plain.chBytes, seen.chBytes);
+    EXPECT_GT(plain.reads, 0u);
+    EXPECT_GT(plain.writes, 0u);
+    EXPECT_GT(plain.hits, 0u);
+    EXPECT_EQ(lastValue(rec, "mem.dram.reads"),
+              static_cast<double>(seen.reads));
+    EXPECT_EQ(lastValue(rec, "mem.dram.writes"),
+              static_cast<double>(seen.writes));
 }
 
 // ------------------------------------------------- observer effect
